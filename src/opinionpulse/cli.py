@@ -12,21 +12,20 @@ Exit codes: 0 success, 1 usage error (bad flags, missing files),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .corpus import dedup, filter_lang, ingest, message_to_record, parse_timestamp
+from .corpus import dedup, filter_lang, ingest, message_to_record
 from .exceptions import InputError
 from .filterkit import expand_query, iter_partition, load_builtin_query, load_query
-from .polarity import load_lexicon, score_stream, toy_lexicon_path
+from .polarity import (load_lexicon, read_scored_csv, score_stream, toy_lexicon_path,
+                       write_scored_csv)
 from .stance import (
     Hyperparams,
     grid_hyperparams,
@@ -41,14 +40,14 @@ from .stance import (
     save_model,
     train,
 )
-from .stance.data import read_label_column, write_annotation_template
+from .stance.data import (probs_dict, read_label_column, read_labeled_jsonl,
+                          write_annotation_template, write_labeled_jsonl)
 from .timeseries import (
     DEFAULT_TZ_OFFSET,
     FREQUENCY_BUCKETS,
     STANCE_BUCKETS,
     annotate_events,
     correlate,
-    format_bucket,
     frequency_series,
     load_events,
     moving_average,
@@ -62,8 +61,6 @@ from .timeseries import (
 )
 
 logger = logging.getLogger(__name__)
-
-SCORED_CSV_HEADER = ("id", "timestamp", "value", "hits")
 
 
 class UsageError(Exception):
@@ -169,6 +166,13 @@ def _out_handle(path):
             yield handle
 
 
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON to ``path``, or stdout."""
+    with _out_handle(path) as handle:
+        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
 def _require_file(value, flag: str) -> Path:
     path = Path(value)
     if not path.is_file():
@@ -229,10 +233,6 @@ def _hyperparams_from(args) -> Hyperparams:
         raise UsageError(str(exc)) from None
 
 
-def _probs_dict(labels, probs) -> dict:
-    return {label: float(p) for label, p in zip(labels, probs)}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -257,20 +257,14 @@ def cmd_filter(args) -> int:
         out = stack.enter_context(_atomic_text(args.out))
         rest = stack.enter_context(_atomic_text(args.unmatched_out)) if args.unmatched_out else None
         for msg, hit in iter_partition(msgs, query):
-            record = json.dumps(message_to_record(msg), ensure_ascii=False)
-            if hit:
-                out.write(record + "\n")
-                matched += 1
-            elif rest is not None:
-                rest.write(record + "\n")
-                unmatched += 1
-            else:
-                unmatched += 1
+            matched += hit
+            unmatched += not hit
+            handle = out if hit else rest
+            if handle is not None:
+                handle.write(json.dumps(message_to_record(msg), ensure_ascii=False) + "\n")
 
     if args.stats:
-        with _atomic_text(args.stats) as handle:
-            json.dump(stream.stats.to_dict(), handle, ensure_ascii=False, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write_json(args.stats, stream.stats.to_dict())
     _log(args.log, event="filter", query=query.name, matched=matched,
          unmatched=unmatched, rejected_lines=stream.stats.rejected)
     return 0
@@ -287,17 +281,12 @@ def cmd_expand_query(args) -> int:
         raise UsageError("--min-count must be at least 1")
 
     # multiple ranking rounds re-read the corpus, so it is materialized
-    msgs = list(ingest(args.infile, fmt=args.format))
-    report = expand_query(query, msgs, rounds=args.rounds, top_k=args.top_k,
+    stream = ingest(args.infile, fmt=args.format)
+    report = expand_query(query, list(stream), rounds=args.rounds, top_k=args.top_k,
                           min_count=args.min_count)
-    payload = {
-        "query": report.query_name,
-        "rounds": [[asdict(stat) for stat in rnd.candidates] for rnd in report.rounds],
-    }
-    with _out_handle(args.out) as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
-    _log(args.log, event="expand-query", query=query.name, rounds=args.rounds)
+    _write_json(args.out, report.to_dict())
+    _log(args.log, event="expand-query", query=query.name, rounds=args.rounds,
+         rejected_lines=stream.stats.rejected)
     return 0
 
 
@@ -308,41 +297,12 @@ def cmd_sentiment(args) -> int:
     scored = score_stream(lexicon, stream)
 
     with _atomic_text(args.out) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SCORED_CSV_HEADER)
-        for msg, polarity in scored:
-            writer.writerow([
-                msg.id,
-                msg.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                repr(polarity.value),
-                polarity.hits,
-            ])
-
+        write_scored_csv(scored, handle)
     if args.summary:
-        with _atomic_text(args.summary) as handle:
-            json.dump(scored.summary.to_dict(), handle, ensure_ascii=False,
-                      sort_keys=True, indent=2)
-            handle.write("\n")
-    _log(args.log, event="sentiment", lexicon=lexicon.name,
-         scored=scored.summary.n, nonzero=scored.summary.nonzero)
+        _write_json(args.summary, scored.summary.to_dict())
+    _log(args.log, event="sentiment", lexicon=lexicon.name, scored=scored.summary.n,
+         nonzero=scored.summary.nonzero, rejected_lines=stream.stats.rejected)
     return 0
-
-
-def _read_scored_csv(path):
-    """Replay a scored CSV as (timestamp, value) pairs."""
-    name = Path(path).name
-    with open(path, encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if lineno == 1 and tuple(c.strip().lower() for c in row) == SCORED_CSV_HEADER:
-                continue
-            if len(row) != 4:
-                raise InputError(f"{name}: expected id,timestamp,value,hits, line {lineno}")
-            try:
-                yield parse_timestamp(row[1]), float(row[2])
-            except ValueError as exc:
-                raise InputError(f"{name}: {exc}, line {lineno}") from None
 
 
 def cmd_timeseries(args) -> int:
@@ -353,14 +313,16 @@ def cmd_timeseries(args) -> int:
     if args.events and not args.events_out:
         raise UsageError("--events requires --events-out")
 
+    log_fields = {}
     if args.kind == "frequency":
         stream = ingest(args.infile, fmt=args.format)
         msgs = iter(stream)
         if args.drop_reposts:
             msgs = (m for m in msgs if not m.is_repost)
         points = frequency_series(msgs, bucket=args.bucket, tz=tz)
+        log_fields["rejected_lines"] = stream.stats.rejected
     else:
-        pairs = _read_scored_csv(args.infile)
+        pairs = read_scored_csv(args.infile)
         if args.nonzero_only:
             pairs = ((ts, value) for ts, value in pairs if value != 0.0)
         points = sentiment_series(pairs, bucket=args.bucket, tz=tz)
@@ -380,23 +342,10 @@ def cmd_timeseries(args) -> int:
     if args.events:
         _require_file(args.events, "--events")
         events = load_events(args.events)
-        annotated = annotate_events(points, events, bucket=args.bucket)
-        payload = {
-            "markers": {
-                format_bucket(bucket): list(labels)
-                for bucket, labels in sorted(annotated.markers.items())
-            },
-            "out_of_range": [
-                {"date": event.date.isoformat(), "label": event.label}
-                for event in annotated.out_of_range
-            ],
-        }
-        with _atomic_text(args.events_out) as handle:
-            json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write_json(args.events_out, annotate_events(points, events, bucket=args.bucket).to_dict())
 
     _log(args.log, event="timeseries", kind=args.kind, bucket=args.bucket,
-         points=len(points))
+         points=len(points), **log_fields)
     return 0
 
 
@@ -412,7 +361,8 @@ def cmd_annotate_sample(args) -> int:
     selected = prepare_annotation_set(stream, query, rate=args.rate, n=args.n, seed=args.seed)
     with _atomic_text(args.out) as handle:
         count = write_annotation_template(selected, handle)
-    _log(args.log, event="annotate-sample", query=query.name, selected=count)
+    _log(args.log, event="annotate-sample", query=query.name, selected=count,
+         rejected_lines=stream.stats.rejected)
     return 0
 
 
@@ -457,9 +407,7 @@ def cmd_grid_search(args) -> int:
 
     examples = read_labeled_tsv(args.labels)
     result = grid_search(examples, grid, objective=args.objective, seed=args.seed)
-    with _out_handle(args.out) as handle:
-        json.dump(result.to_dict(), handle, ensure_ascii=False, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_json(args.out, result.to_dict())
     _log(args.log, event="grid-search", configs=len(grid),
          objective=args.objective, best=result.best.to_dict())
     return 0
@@ -494,7 +442,7 @@ def cmd_predict(args) -> int:
 
     if args.text is not None:
         label, probs = predict(model, args.text)
-        print(json.dumps({"label": label, "probs": _probs_dict(model.labels, probs)},
+        print(json.dumps({"label": label, "probs": probs_dict(model.labels, probs)},
                          ensure_ascii=False, sort_keys=True))
         return 0
 
@@ -502,37 +450,16 @@ def cmd_predict(args) -> int:
     if not args.out:
         raise UsageError("--in requires --out")
     stream = ingest(args.infile, fmt=args.format)
-    labeled = 0
     with _atomic_text(args.out) as handle:
-        for msg, label, probs in label_corpus(model, stream):
-            record = message_to_record(msg)
-            record["stance"] = label
-            record["probs"] = _probs_dict(model.labels, probs)
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-            labeled += 1
-    _log(args.log, event="predict", labeled=labeled)
+        labeled = write_labeled_jsonl(label_corpus(model, stream), model.labels, handle)
+    _log(args.log, event="predict", labeled=labeled, rejected_lines=stream.stats.rejected)
     return 0
-
-
-def _read_labeled_jsonl(path):
-    """Replay predict output as (timestamp, stance) pairs."""
-    name = Path(path).name
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                yield parse_timestamp(record["created_at"]), record["stance"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{name}: bad labeled record, line {lineno}: {exc}") from None
 
 
 def cmd_stance_series(args) -> int:
     _require_file(args.infile, "--in")
     tz = _parse_tz_arg(args.tz)
-    series = stance_series(_read_labeled_jsonl(args.infile), bucket=args.bucket, tz=tz)
+    series = stance_series(read_labeled_jsonl(args.infile), bucket=args.bucket, tz=tz)
     with _atomic_text(args.out) as handle:
         write_stance_csv(series, handle)
     _log(args.log, event="stance-series", bucket=args.bucket, points=len(series))
@@ -544,9 +471,7 @@ def cmd_correlate(args) -> int:
     _require_file(args.b, "--b")
     r, n_overlap = correlate(read_series_csv(args.a), read_series_csv(args.b))
     if args.out:
-        with _atomic_text(args.out) as handle:
-            json.dump({"r": r, "n_overlap": n_overlap}, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write_json(args.out, {"r": r, "n_overlap": n_overlap})
     print(f"r={r!r}")
     print(f"n_overlap={n_overlap}")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -225,6 +225,10 @@ class ExpansionRound:
 class ExpansionReport:
     query_name: str
     rounds: tuple
+
+    def to_dict(self) -> dict:
+        rounds = [[asdict(stat) for stat in rnd.candidates] for rnd in self.rounds]
+        return {"query": self.query_name, "rounds": rounds}
 
 
 def expand_query(

@@ -10,6 +10,7 @@ rule is simple enough to audit.
 
 from __future__ import annotations
 
+import csv
 import logging
 import unicodedata
 from dataclasses import dataclass
@@ -17,11 +18,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Message
+from .corpus import Message, parse_timestamp
 from .exceptions import InputError
 from .tokenization import tokenize
 
 logger = logging.getLogger("opinionpulse.polarity")
+
+SCORED_CSV_HEADER = ("id", "timestamp", "value", "hits")
 
 
 def _is_emoji_term(term: str) -> bool:
@@ -199,3 +202,29 @@ def score_stream(lexicon: PolarityLexicon, msgs: Iterable[Message]) -> ScoredStr
             yield msg, polarity
 
     return ScoredStream(generate(), summary)
+
+
+def write_scored_csv(scored: Iterable, handle) -> None:
+    """Write (Message, PolarityScore) pairs as rows; repr() keeps every float bit."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(SCORED_CSV_HEADER)
+    for msg, polarity in scored:
+        writer.writerow([msg.id, msg.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                         repr(polarity.value), polarity.hits])
+
+
+def read_scored_csv(path) -> Iterator:
+    """Replay a scored CSV as (timestamp, value) pairs."""
+    name = Path(path).name
+    with open(path, encoding="utf-8", newline="") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not any(cell.strip() for cell in row):
+                continue
+            if lineno == 1 and tuple(c.strip().lower() for c in row) == SCORED_CSV_HEADER:
+                continue
+            if len(row) != 4:
+                raise InputError(f"{name}: expected id,timestamp,value,hits, line {lineno}")
+            try:
+                yield parse_timestamp(row[1]), float(row[2])
+            except ValueError as exc:
+                raise InputError(f"{name}: {exc}, line {lineno}") from None

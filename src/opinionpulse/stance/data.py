@@ -7,11 +7,12 @@ column, ready for a human to fill in.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from ..corpus import Message, dedup, sample
+from ..corpus import Message, dedup, message_to_record, parse_timestamp, sample
 from ..exceptions import InputError
 from ..filterkit import TopicQuery
 
@@ -103,3 +104,35 @@ def write_annotation_template(msgs: Sequence[Message], handle) -> int:
     for msg in msgs:
         handle.write(f"\t{msg.text}\n")
     return len(msgs)
+
+
+def probs_dict(labels: Sequence[str], probs) -> dict:
+    """Class probabilities keyed by label, as plain floats."""
+    return {label: float(p) for label, p in zip(labels, probs)}
+
+
+def write_labeled_jsonl(labeled: Iterable, labels: Sequence[str], handle) -> int:
+    """Write (Message, label, probs) triples, one JSON record per line."""
+    count = 0
+    for msg, label, probs in labeled:
+        record = message_to_record(msg)
+        record["stance"] = label
+        record["probs"] = probs_dict(labels, probs)
+        handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        count += 1
+    return count
+
+
+def read_labeled_jsonl(path) -> Iterator:
+    """Replay predict output as (timestamp, stance) pairs."""
+    name = Path(path).name
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                yield parse_timestamp(record["created_at"]), record["stance"]
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{name}: bad labeled record, line {lineno}: {exc}") from None

@@ -14,7 +14,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -230,34 +230,6 @@ def correlate(a: Sequence[SeriesPoint], b: Sequence[SeriesPoint]) -> tuple[float
     return sxy / math.sqrt(sxx * syy), n
 
 
-def load_external_series(path) -> list[SeriesPoint]:
-    """Read a date,value CSV (a "date,value" header line is tolerated)."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"series file not found: {path}")
-    points = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row[0].strip().lower() == "date":
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path.name}: expected date,value, line {lineno}")
-            try:
-                day = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise InputError(f"{path.name}: unparseable date {row[0]!r}, line {lineno}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise InputError(f"{path.name}: bad value {row[1]!r}, line {lineno}") from None
-            if day in points:
-                raise InputError(f"{path.name}: duplicate date {row[0]}, line {lineno}")
-            points[day] = value
-    return [SeriesPoint(bucket=day, value=points[day], n=1) for day in sorted(points)]
-
-
 @dataclass(frozen=True)
 class Event:
     date: date
@@ -289,6 +261,11 @@ class AnnotatedSeries:
     points: tuple[SeriesPoint, ...]
     markers: dict  # bucket -> tuple of event labels
     out_of_range: tuple[Event, ...]
+
+    def to_dict(self) -> dict:
+        markers = {format_bucket(b): list(labels) for b, labels in sorted(self.markers.items())}
+        out_of_range = [{"date": e.date.isoformat(), "label": e.label} for e in self.out_of_range]
+        return {"markers": markers, "out_of_range": out_of_range}
 
 
 def annotate_events(
@@ -362,28 +339,57 @@ def write_stance_csv(series: Sequence[StanceRates], handle) -> None:
         )
 
 
-def read_series_csv(path) -> list[SeriesPoint]:
-    """Load a series from any of the shipped CSV schemas.
+# header -> index of the n column; every schema keeps its value in column 1
+_SERIES_N_COLUMN = {
+    ("bucket", "n"): 1,
+    ("bucket", "mean", "n"): 2,
+    ("bucket", "support", "reject", "other", "n"): 4,
+}
 
-    Understands bucket,n (frequency: value=n), bucket,mean,n and the
-    external date,value layout.
+
+def read_series_csv(path) -> list[SeriesPoint]:
+    """Load a series from any shipped CSV schema, sorted by bucket.
+
+    The header picks bucket,n, bucket,mean,n, bucket,support,reject,other,n
+    (read as the support rate) or else date,value (header optional, n = 1).
+    A malformed row raises InputError naming the file and line.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"series file not found: {path}")
+
+    def error(what: str) -> InputError:
+        return InputError(f"{path.name}: {what}, line {lineno}")
+
+    def number(convert, text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise error(f"bad value {text!r}") from None
+
+    columns = None
+    points = {}
     with open(path, encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
-    if not rows:
-        return []
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header == ["bucket", "n"]:
-        return [
-            SeriesPoint(bucket=parse_bucket(r[0]), value=float(r[1]), n=int(r[1]))
-            for r in rows[1:]
-        ]
-    if header == ["bucket", "mean", "n"]:
-        return [
-            SeriesPoint(bucket=parse_bucket(r[0]), value=float(r[1]), n=int(r[2]))
-            for r in rows[1:]
-        ]
-    return load_external_series(path)
+        for lineno, row in enumerate(csv.reader(handle), start=1):
+            if not any(cell.strip() for cell in row):
+                continue
+            if columns is None:
+                header = tuple(cell.strip().lower() for cell in row)
+                n_col = _SERIES_N_COLUMN.get(header)
+                columns = header if n_col is not None else ("date", "value")
+                if n_col is not None or header[0] == "date":
+                    continue
+            if len(row) != len(columns):
+                raise error(f"expected {','.join(columns)}")
+            text = row[0].strip()
+            try:
+                key = date.fromisoformat(text) if n_col is None else parse_bucket(text)
+            except (InputError, ValueError):
+                raise error(f"unparseable {columns[0]} {row[0]!r}") from None
+            if points and type(key) is not type(next(iter(points))):
+                raise error(f"bucket {row[0]!r} mixes days and hours")
+            if key in points:
+                raise error(f"duplicate {columns[0]} {row[0]}")
+            n = 1 if n_col is None else number(int, row[n_col])
+            points[key] = SeriesPoint(bucket=key, value=number(float, row[1]), n=n)
+    return [points[key] for key in sorted(points)]

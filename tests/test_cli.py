@@ -46,6 +46,21 @@ def labels_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def malformed_corpus(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    write_corpus(path, FIVE_MESSAGES)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(2, "not json\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def train_fast_model(labels_file, model_path) -> None:
+    argv = ["train", "--labels", str(labels_file), "--out", str(model_path)]
+    assert main(argv + FAST_MODEL_FLAGS) == 0
+
+
 class TestHelpAndVersion:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -499,14 +514,57 @@ class TestCorrelate:
         assert main(["correlate", "--a", str(a), "--b", str(b)]) == 2
         assert "zero variance" in capsys.readouterr().err
 
-    def test_correlates_cli_series_output(self, corpus, tmp_path, capsys):
-        freq = tmp_path / "freq.csv"
-        main(["timeseries", "--kind", "frequency", "--in", str(corpus), "--out", str(freq)])
+    @pytest.mark.parametrize("series", ["frequency", "sentiment", "sentiment-ma3", "stance"])
+    def test_correlates_cli_series_output(self, series, labels_file, tmp_path, capsys):
+        # stance words that are also toy-lexicon words, so every series varies by day
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, [
+            msg(text, id=f"m{i}", ts=f"2020-03-{day}T10:{i:02d}:00Z")
+            for i, (day, text) in enumerate([
+                (11, "steun goed eens prima"), (11, "goed nuttig verstandig"),
+                (12, "onzin slecht dom"), (12, "steun goed helpt"),
+                (13, "waardeloos slecht onzin"), (13, "koffie muziek film"),
+                (13, "zon koffie trein"),
+            ])
+        ])
+        source = corpus
+        if series.startswith("sentiment"):
+            source = tmp_path / "scored.csv"
+            assert main(["sentiment", "--toy-lexicon", "--in", str(corpus),
+                         "--out", str(source)]) == 0
+        elif series == "stance":
+            model = tmp_path / "model.bin"
+            source = tmp_path / "labeled.jsonl"
+            train_fast_model(labels_file, model)
+            assert main(["predict", "--model", str(model), "--in", str(corpus),
+                         "--out", str(source)]) == 0
+        argv = {
+            "frequency": ["timeseries", "--kind", "frequency"],
+            "sentiment": ["timeseries", "--kind", "sentiment"],
+            "sentiment-ma3": ["timeseries", "--kind", "sentiment", "--ma", "3"],
+            "stance": ["stance-series"],
+        }[series]
+        written = tmp_path / "series.csv"
+        assert main(argv + ["--in", str(source), "--out", str(written)]) == 0
         external = tmp_path / "ext.csv"
         self.write_series(external, [("2020-03-11", 4), ("2020-03-12", 5), ("2020-03-13", 1)])
-        assert main(["correlate", "--a", str(freq), "--b", str(external)]) == 0
+        capsys.readouterr()
+        assert main(["correlate", "--a", str(written), "--b", str(external)]) == 0
         out = capsys.readouterr().out
         assert "n_overlap=3" in out
+
+    @pytest.mark.parametrize("row, message", [
+        ("2020-03-03", "expected bucket,n, line 4"),
+        ("2020-03-03,x", "bad value 'x', line 4"),
+        ("2020-03-02,9", "duplicate bucket 2020-03-02, line 4"),
+    ], ids=["short-row", "bad-value", "duplicate-bucket"])
+    def test_malformed_series_row_exits_two(self, row, message, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text(f"bucket,n\n2020-03-01,1\n2020-03-02,2\n{row}\n", encoding="utf-8")
+        b = tmp_path / "b.csv"
+        self.write_series(b, [("2020-03-01", 1), ("2020-03-02", 3)])
+        assert main(["correlate", "--a", str(a), "--b", str(b)]) == 2
+        assert f"error: a.csv: {message}" in capsys.readouterr().err
 
 
 class TestExpandQuery:
@@ -546,6 +604,28 @@ class TestRunLog:
         assert events[0]["seed"] == 42
         assert any(e.get("event") == "filter" and e.get("matched") == 2 for e in events)
 
+    @pytest.mark.parametrize("command", [
+        "sentiment", "timeseries", "predict", "annotate-sample", "expand-query",
+    ])
+    def test_final_record_counts_rejected_lines(self, command, malformed_corpus, labels_file,
+                                                tmp_path, capsys):
+        corpus, out, model = str(malformed_corpus), str(tmp_path / "out"), tmp_path / "m.bin"
+        if command == "predict":
+            train_fast_model(labels_file, model)
+        argv = {
+            "sentiment": ["--toy-lexicon", "--in", corpus],
+            "timeseries": ["--kind", "frequency", "--in", corpus],
+            "predict": ["--model", str(model), "--in", corpus],
+            "annotate-sample": ["--builtin", "pandemic", "--in", corpus, "--n", "1"],
+            "expand-query": ["--builtin", "pandemic", "--in", corpus, "--min-count", "1"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv, "--out", out, "--log"]) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+                  if line.strip()]
+        assert events[-1]["event"] == command
+        assert events[-1]["rejected_lines"] == 1
+
 
 def _logger_state():
     package = logging.getLogger("opinionpulse")
@@ -568,15 +648,6 @@ class TestLoggingScope:
         package.handlers[:] = handlers
         package.setLevel(level)
         package.propagate = propagate
-
-    @pytest.fixture
-    def malformed_corpus(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        write_corpus(path, FIVE_MESSAGES)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines.insert(2, "not json\n")
-        path.write_text("".join(lines), encoding="utf-8")
-        return path
 
     @pytest.mark.parametrize("case, code", [("ok", 0), ("usage", 1), ("data", 2), ("log", 0)])
     def test_main_restores_logger_state(self, case, code, embedded_logger, corpus,

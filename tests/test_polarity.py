@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_messages
+from conftest import make_messages, msg
 from opinionpulse.exceptions import InputError
 from opinionpulse.polarity import (
     PolarityLexicon,
+    PolarityScore,
     load_lexicon,
+    read_scored_csv,
     score,
     score_stream,
     toy_lexicon_path,
+    write_scored_csv,
 )
 
 TOY = load_lexicon(toy_lexicon_path())
@@ -180,3 +183,26 @@ class TestScoreStream:
         assert stream.summary.mean_nonzero == pytest.approx(
             math.fsum(nonzero) / len(nonzero), abs=1e-12
         )
+
+
+class TestScoredCsv:
+    def test_round_trip_keeps_float_bits(self, tmp_path):
+        scored = [
+            (msg("x", id="a", ts="2020-03-01T10:00:00Z"), PolarityScore(value=0.1 + 0.2, hits=3)),
+            (msg("x", id="b,\"c\"", ts="2020-03-01T23:59:59Z"), PolarityScore(value=-1 / 3, hits=2)),
+            (msg("x", id="d", ts="2020-03-02T00:00:00Z"), PolarityScore(value=5e-17, hits=1)),
+            (msg("x", id="e", ts="2020-03-02T01:00:00Z"), PolarityScore(value=0.0, hits=0)),
+        ]
+        path = tmp_path / "scored.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_scored_csv(scored, handle)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == "id,timestamp,value,hits"
+        replayed = list(read_scored_csv(path))
+        assert [ts for ts, _ in replayed] == [m.timestamp for m, _ in scored]
+        assert [repr(value) for _, value in replayed] == [repr(s.value) for _, s in scored]
+
+    def test_short_row_names_line(self, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("id,timestamp,value,hits\na,2020-03-01T10:00:00Z,0.5\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"scored.csv: expected id,timestamp,value,hits, line 2"):
+            list(read_scored_csv(path))

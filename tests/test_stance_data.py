@@ -1,14 +1,23 @@
 """Labeled-example IO and annotation-set selection."""
 
 import io
+import json
 
+import numpy as np
 import pytest
 
 from conftest import make_messages, msg
 from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import TopicQuery
 from opinionpulse.stance import LabeledExample, prepare_annotation_set, read_labeled_tsv, write_labeled_tsv
-from opinionpulse.stance.data import LABEL_INDEX, LABELS, read_label_column, write_annotation_template
+from opinionpulse.stance.data import (
+    LABEL_INDEX,
+    LABELS,
+    read_label_column,
+    read_labeled_jsonl,
+    write_annotation_template,
+    write_labeled_jsonl,
+)
 
 QUERY = TopicQuery(name="pandemic", keywords=frozenset({"corona"}))
 
@@ -142,3 +151,28 @@ class TestAnnotationTemplate:
         labeled = path.read_text(encoding="utf-8").replace("\t", "supports\t", 1)
         path.write_text(labeled, encoding="utf-8")
         assert read_labeled_tsv(path) == [LabeledExample(text="corona hier", label="supports")]
+
+
+class TestLabeledJsonl:
+    def test_round_trip_keeps_float_bits(self, tmp_path):
+        labeled = [
+            (msg("steun dit", id="a", ts="2020-03-01T10:00:00Z"), "supports",
+             np.array([0.1 + 0.2, 1 / 3, 1 - (0.1 + 0.2) - 1 / 3])),
+            (msg("onzin", id="b", ts="2020-03-02T23:00:00Z"), "rejects",
+             np.array([5e-17, 1 - 5e-17, 0.0])),
+        ]
+        path = tmp_path / "labeled.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            assert write_labeled_jsonl(labeled, LABELS, handle) == 2
+        assert list(read_labeled_jsonl(path)) == [(m.timestamp, label) for m, label, _ in labeled]
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [r["id"] for r in records] == ["a", "b"]
+        for record, (_, _, probs) in zip(records, labeled):
+            assert [repr(record["probs"][label]) for label in LABELS] == [repr(float(p)) for p in probs]
+
+    def test_bad_record_names_line(self, tmp_path):
+        path = tmp_path / "labeled.jsonl"
+        path.write_text('{"created_at": "2020-03-01T10:00:00Z", "stance": "other"}\n{"id": "x"}\n',
+                        encoding="utf-8")
+        with pytest.raises(InputError, match=r"labeled.jsonl: bad labeled record, line 2"):
+            list(read_labeled_jsonl(path))

@@ -19,7 +19,6 @@ from opinionpulse.timeseries import (
     format_bucket,
     frequency_series,
     load_events,
-    load_external_series,
     moving_average,
     parse_bucket,
     parse_tz_offset,
@@ -370,7 +369,7 @@ class TestExternalSeries:
     def test_three_rows(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("2020-03-01,12\n2020-03-02,15\n2020-03-04,7\n", encoding="utf-8")
-        points = load_external_series(path)
+        points = read_series_csv(path)
         assert [(p.bucket.isoformat(), p.value) for p in points] == [
             ("2020-03-01", 12.0), ("2020-03-02", 15.0), ("2020-03-04", 7.0),
         ]
@@ -379,35 +378,35 @@ class TestExternalSeries:
     def test_header_tolerated(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("date,value\n2020-03-01,12\n", encoding="utf-8")
-        assert len(load_external_series(path)) == 1
+        assert len(read_series_csv(path)) == 1
 
     def test_rows_sorted_by_date(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("2020-03-04,7\n2020-03-01,12\n", encoding="utf-8")
-        points = load_external_series(path)
+        points = read_series_csv(path)
         assert [p.bucket.isoformat() for p in points] == ["2020-03-01", "2020-03-04"]
 
     def test_duplicate_date(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("2020-03-01,12\n2020-03-01,13\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"duplicate date 2020-03-01, line 2"):
-            load_external_series(path)
+            read_series_csv(path)
 
     def test_unparseable_date(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("gisteren,12\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"unparseable date 'gisteren', line 1"):
-            load_external_series(path)
+            read_series_csv(path)
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("2020-03-01,veel\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"bad value 'veel', line 1"):
-            load_external_series(path)
+            read_series_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="series file not found"):
-            load_external_series(tmp_path / "nope.csv")
+            read_series_csv(tmp_path / "nope.csv")
 
 
 class TestEvents:
@@ -498,6 +497,22 @@ class TestCsvRoundTrips:
         assert content.splitlines()[0] == "bucket,support,reject,other,n"
         assert "0.5,0.5,0.0,2" in content.splitlines()[1]
 
+    def test_stance_schema_reads_support_rate(self, tmp_path):
+        labeled = [
+            (at("2020-03-01T10:00:00Z", id="a"), "supports"),
+            (at("2020-03-01T11:00:00Z", id="b"), "rejects"),
+            (at("2020-03-01T12:00:00Z", id="c"), "rejects"),
+            (at("2020-03-02T10:00:00Z", id="d"), "other"),
+        ]
+        series = stance_series(labeled, bucket="day", tz=UTC)
+        path = tmp_path / "stance.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_stance_csv(series, handle)
+        replayed = read_series_csv(path)
+        assert [(p.bucket, p.value, p.n) for p in replayed] == [
+            (r.bucket, r.support_rate, r.n) for r in series
+        ]
+
     def test_external_schema_fallback(self, tmp_path):
         path = tmp_path / "ext.csv"
         path.write_text("date,value\n2020-03-01,4\n", encoding="utf-8")
@@ -512,6 +527,50 @@ class TestCsvRoundTrips:
             write_frequency_csv(points, handle)
         replayed = read_series_csv(path)
         assert [p.bucket for p in replayed] == [p.bucket for p in points]
+
+
+class TestMalformedSeriesRows:
+    HEADERS = {"bucket,n": "2020-03-01,3", "bucket,mean,n": "2020-03-01,0.5,3"}
+
+    def write(self, tmp_path, header, row):
+        path = tmp_path / "series.csv"
+        path.write_text(f"{header}\n{self.HEADERS[header]}\n{row}\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("header", list(HEADERS))
+    def test_short_row(self, tmp_path, header):
+        path = self.write(tmp_path, header, "2020-03-02")
+        with pytest.raises(InputError, match=rf"series.csv: expected {header}, line 3"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("header, row", [
+        ("bucket,n", "2020-03-02,x"), ("bucket,mean,n", "2020-03-02,x,3"),
+    ])
+    def test_bad_value(self, tmp_path, header, row):
+        path = self.write(tmp_path, header, row)
+        with pytest.raises(InputError, match=r"series.csv: bad value 'x', line 3"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("header", list(HEADERS))
+    def test_duplicate_bucket(self, tmp_path, header):
+        path = self.write(tmp_path, header, self.HEADERS[header])
+        with pytest.raises(InputError, match=r"series.csv: duplicate bucket 2020-03-01, line 3"):
+            read_series_csv(path)
+
+    def test_unparseable_bucket(self, tmp_path):
+        path = self.write(tmp_path, "bucket,n", "ooit,4")
+        with pytest.raises(InputError, match=r"series.csv: unparseable bucket 'ooit', line 3"):
+            read_series_csv(path)
+
+    def test_bad_count(self, tmp_path):
+        path = self.write(tmp_path, "bucket,mean,n", "2020-03-02,0.5,veel")
+        with pytest.raises(InputError, match=r"series.csv: bad value 'veel', line 3"):
+            read_series_csv(path)
+
+    def test_days_and_hours_mixed(self, tmp_path):
+        path = self.write(tmp_path, "bucket,n", "2020-03-02T10:00:00+01:00,4")
+        with pytest.raises(InputError, match=r"mixes days and hours, line 3"):
+            read_series_csv(path)
 
 
 class TestBucketText:
