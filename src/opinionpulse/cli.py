@@ -5,8 +5,9 @@ train and apply a stance classifier. Every run with the same flags and
 inputs produces byte-identical outputs; output files are written to a
 temp file and renamed, so a failing run never leaves partial files.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing files),
-2 data error (a file exists but violates its format).
+Exit codes: 0 success, 1 usage error (a bad flag value or missing input
+file, rejected by the parser before any output is opened), 2 data error
+(a file exists but violates its format).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import dedup, filter_lang, ingest, message_to_record
 from .exceptions import InputError
-from .filterkit import expand_query, iter_partition, load_builtin_query, load_query
+from .filterkit import builtin_query_path, expand_query, iter_partition, load_query
 from .polarity import (load_lexicon, read_scored_csv, score_stream, toy_lexicon_path,
                        write_scored_csv)
 from .stance import (
@@ -42,6 +43,7 @@ from .stance import (
 )
 from .stance.data import (probs_dict, read_label_column, read_labeled_jsonl,
                           write_annotation_template, write_labeled_jsonl)
+from .stance.evaluation import write_learning_curve_csv
 from .timeseries import (
     DEFAULT_TZ_OFFSET,
     FREQUENCY_BUCKETS,
@@ -64,7 +66,7 @@ logger = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
-    """A flag or referenced path is wrong; maps to exit code 1."""
+    """A flag combination the parser cannot check is wrong; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,49 +175,35 @@ def _write_json(path, payload) -> None:
         handle.write("\n")
 
 
-def _require_file(value, flag: str) -> Path:
-    path = Path(value)
-    if not path.is_file():
-        raise UsageError(f"{flag}: file not found: {path}")
-    return path
+def _flag_type(convert, expected: str, accept=lambda value: True):
+    """An argparse ``type=``: ``convert`` the flag's text, then check it with ``accept``.
 
-
-def _load_query_arg(args):
-    if args.builtin:
+    A failure of either is a usage error raised at parse time, before any
+    output is opened; the message names the flag and what was ``expected``.
+    """
+    def parse(text: str):
         try:
-            return load_builtin_query(args.builtin)
-        except InputError as exc:
-            raise UsageError(f"--builtin: {exc}") from None
-    _require_file(args.query, "--query")
-    return load_query(args.query)
+            value = convert(text)
+        except (InputError, ValueError):
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _load_lexicon_arg(args):
-    if args.toy_lexicon:
-        return load_lexicon(toy_lexicon_path())
-    _require_file(args.lexicon, "--lexicon")
-    return load_lexicon(args.lexicon)
-
-
-def _parse_tz_arg(value):
-    try:
-        return parse_tz_offset(value)
-    except InputError as exc:
-        raise UsageError(f"--tz: {exc}") from None
-
-
-def _int_list(flag: str, value: str) -> list[int]:
-    try:
-        return [int(item) for item in value.split(",") if item.strip()]
-    except ValueError:
-        raise UsageError(f"{flag}: expected a comma-separated list of integers") from None
-
-
-def _float_list(flag: str, value: str) -> list[float]:
-    try:
-        return [float(item) for item in value.split(",") if item.strip()]
-    except ValueError:
-        raise UsageError(f"{flag}: expected a comma-separated list of numbers") from None
+_input_file = _flag_type(Path, "an existing file", Path.is_file)
+_positive_int = _flag_type(int, "a positive integer", lambda n: n >= 1)
+_rate = _flag_type(float, "a rate in (0, 1]", lambda rate: 0 < rate <= 1)
+_lang = _flag_type(str, "a 2- or 3-letter language tag",
+                   lambda tag: tag.isalpha() and 2 <= len(tag) <= 3)
+_tz = _flag_type(parse_tz_offset, "an offset such as +01:00")
+_builtin_query = _flag_type(builtin_query_path, "a shipped query name")
+_int_list = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
+                       "a comma-separated list of integers", bool)
+_float_list = _flag_type(lambda text: [float(item) for item in text.split(",") if item.strip()],
+                         "a comma-separated list of numbers", bool)
 
 
 def _hyperparams_from(args) -> Hyperparams:
@@ -238,11 +226,7 @@ def _hyperparams_from(args) -> Hyperparams:
 
 
 def cmd_filter(args) -> int:
-    query = _load_query_arg(args)
-    _require_file(args.infile, "--in")
-    if args.lang is not None and (not args.lang.isalpha() or not 2 <= len(args.lang) <= 3):
-        raise UsageError(f"--lang: invalid language tag {args.lang!r}")
-
+    query = load_query(args.query or args.builtin)
     stream = ingest(args.infile, fmt=args.format)
     msgs = iter(stream)
     if args.lang:
@@ -271,18 +255,9 @@ def cmd_filter(args) -> int:
 
 
 def cmd_expand_query(args) -> int:
-    query = _load_query_arg(args)
-    _require_file(args.infile, "--in")
-    if args.rounds < 1:
-        raise UsageError("--rounds must be at least 1")
-    if args.top_k < 1:
-        raise UsageError("--top-k must be at least 1")
-    if args.min_count < 1:
-        raise UsageError("--min-count must be at least 1")
-
-    # multiple ranking rounds re-read the corpus, so it is materialized
+    query = load_query(args.query or args.builtin)
     stream = ingest(args.infile, fmt=args.format)
-    report = expand_query(query, list(stream), rounds=args.rounds, top_k=args.top_k,
+    report = expand_query(query, stream, rounds=args.rounds, top_k=args.top_k,
                           min_count=args.min_count)
     _write_json(args.out, report.to_dict())
     _log(args.log, event="expand-query", query=query.name, rounds=args.rounds,
@@ -291,8 +266,7 @@ def cmd_expand_query(args) -> int:
 
 
 def cmd_sentiment(args) -> int:
-    lexicon = _load_lexicon_arg(args)
-    _require_file(args.infile, "--in")
+    lexicon = load_lexicon(args.lexicon)
     stream = ingest(args.infile, fmt=args.format)
     scored = score_stream(lexicon, stream)
 
@@ -306,12 +280,10 @@ def cmd_sentiment(args) -> int:
 
 
 def cmd_timeseries(args) -> int:
-    _require_file(args.infile, "--in")
-    tz = _parse_tz_arg(args.tz)
-    if args.ma is not None and args.ma < 1:
-        raise UsageError("--ma must be at least 1")
     if args.events and not args.events_out:
         raise UsageError("--events requires --events-out")
+    # read before --out is replaced, so a bad events file leaves it untouched
+    events = load_events(args.events) if args.events else None
 
     log_fields = {}
     if args.kind == "frequency":
@@ -319,13 +291,13 @@ def cmd_timeseries(args) -> int:
         msgs = iter(stream)
         if args.drop_reposts:
             msgs = (m for m in msgs if not m.is_repost)
-        points = frequency_series(msgs, bucket=args.bucket, tz=tz)
+        points = frequency_series(msgs, bucket=args.bucket, tz=args.tz)
         log_fields["rejected_lines"] = stream.stats.rejected
     else:
         pairs = read_scored_csv(args.infile)
         if args.nonzero_only:
             pairs = ((ts, value) for ts, value in pairs if value != 0.0)
-        points = sentiment_series(pairs, bucket=args.bucket, tz=tz)
+        points = sentiment_series(pairs, bucket=args.bucket, tz=args.tz)
 
     smoothed = args.ma is not None
     if smoothed:
@@ -339,9 +311,7 @@ def cmd_timeseries(args) -> int:
         else:
             write_value_csv(points, handle)
 
-    if args.events:
-        _require_file(args.events, "--events")
-        events = load_events(args.events)
+    if events is not None:
         _write_json(args.events_out, annotate_events(points, events, bucket=args.bucket).to_dict())
 
     _log(args.log, event="timeseries", kind=args.kind, bucket=args.bucket,
@@ -350,13 +320,7 @@ def cmd_timeseries(args) -> int:
 
 
 def cmd_annotate_sample(args) -> int:
-    query = _load_query_arg(args)
-    _require_file(args.infile, "--in")
-    if args.rate is not None and not 0 < args.rate <= 1:
-        raise UsageError("--rate must be in (0, 1]")
-    if args.n is not None and args.n < 1:
-        raise UsageError("--n must be positive")
-
+    query = load_query(args.query or args.builtin)
     stream = ingest(args.infile, fmt=args.format)
     selected = prepare_annotation_set(stream, query, rate=args.rate, n=args.n, seed=args.seed)
     with _atomic_text(args.out) as handle:
@@ -367,8 +331,6 @@ def cmd_annotate_sample(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    _require_file(args.a, "--a")
-    _require_file(args.b, "--b")
     report = kappa(read_label_column(args.a), read_label_column(args.b))
     print(f"kappa={report.kappa!r}")
     print(f"observed_agreement={report.observed_agreement!r}")
@@ -378,7 +340,6 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_file(args.labels, "--labels")
     hp = _hyperparams_from(args)
     examples = read_labeled_tsv(args.labels)
     model = train(examples, hp)
@@ -390,13 +351,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    _require_file(args.labels, "--labels")
-    dims = _int_list("--dims", args.dims)
-    epochs_values = _int_list("--epochs", args.epochs)
-    lrs = _float_list("--lrs", args.lrs)
     try:
         grid = grid_hyperparams(
-            dims, epochs_values, lrs,
+            args.dims, args.epochs, args.lrs,
             char_ngram_min=args.char_ngram_min,
             char_ngram_max=args.char_ngram_max,
             bucket=args.bucket,
@@ -414,30 +371,24 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_learning_curve(args) -> int:
-    _require_file(args.labels, "--labels")
     hp = _hyperparams_from(args)
-    sizes = _int_list("--sizes", args.sizes)
-    if args.repeats < 1:
-        raise UsageError("--repeats must be at least 1")
     examples = read_labeled_tsv(args.labels)
     points = learning_curve(
         examples, hp,
-        train_sizes=sizes,
+        train_sizes=args.sizes,
         repeats=args.repeats,
         seed=args.seed,
         test_size=args.test_size,
     )
     with _out_handle(args.out) as handle:
-        handle.write("size,mean_accuracy,mean_fraction_score\n")
-        for point in points:
-            frac = "" if point.mean_fraction_score is None else repr(point.mean_fraction_score)
-            handle.write(f"{point.size},{point.mean_accuracy!r},{frac}\n")
-    _log(args.log, event="learning-curve", sizes=sizes, repeats=args.repeats)
+        write_learning_curve_csv(points, handle)
+    _log(args.log, event="learning-curve", sizes=args.sizes, repeats=args.repeats)
     return 0
 
 
 def cmd_predict(args) -> int:
-    _require_file(args.model, "--model")
+    if args.infile and not args.out:
+        raise UsageError("--in requires --out")
     model = load_model(args.model)
 
     if args.text is not None:
@@ -446,9 +397,6 @@ def cmd_predict(args) -> int:
                          ensure_ascii=False, sort_keys=True))
         return 0
 
-    _require_file(args.infile, "--in")
-    if not args.out:
-        raise UsageError("--in requires --out")
     stream = ingest(args.infile, fmt=args.format)
     with _atomic_text(args.out) as handle:
         labeled = write_labeled_jsonl(label_corpus(model, stream), model.labels, handle)
@@ -457,9 +405,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stance_series(args) -> int:
-    _require_file(args.infile, "--in")
-    tz = _parse_tz_arg(args.tz)
-    series = stance_series(read_labeled_jsonl(args.infile), bucket=args.bucket, tz=tz)
+    series = stance_series(read_labeled_jsonl(args.infile), bucket=args.bucket, tz=args.tz)
     with _atomic_text(args.out) as handle:
         write_stance_csv(series, handle)
     _log(args.log, event="stance-series", bucket=args.bucket, points=len(series))
@@ -467,8 +413,6 @@ def cmd_stance_series(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    _require_file(args.a, "--a")
-    _require_file(args.b, "--b")
     r, n_overlap = correlate(read_series_csv(args.a), read_series_csv(args.b))
     if args.out:
         _write_json(args.out, {"r": r, "n_overlap": n_overlap})
@@ -483,32 +427,36 @@ def cmd_correlate(args) -> int:
 
 def _add_query_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--query", help="topic query JSON file")
-    group.add_argument("--builtin",
+    group.add_argument("--query", type=_input_file, help="topic query JSON file")
+    group.add_argument("--builtin", type=_builtin_query,
                        help="shipped query: table2 (alias pandemic) or "
                             "socialdistancing (alias social-distancing)")
 
 
 def _add_corpus_flags(parser) -> None:
-    parser.add_argument("--in", dest="infile", required=True, help="input corpus file")
+    parser.add_argument("--in", dest="infile", type=_input_file, required=True,
+                        help="input corpus file")
     parser.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
                         help="corpus format (default jsonl)")
 
 
-def _add_hyperparam_flags(parser) -> None:
-    parser.add_argument("--dim", type=int, default=10, help="embedding width (default 10)")
-    parser.add_argument("--epochs", type=int, default=10, help="training epochs (default 10)")
-    parser.add_argument("--lr", type=float, default=0.2, help="initial learning rate (default 0.2)")
-    _add_hash_flags(parser)
+def _add_hyperparam_flags(parser, defaults: Hyperparams) -> None:
+    parser.add_argument("--dim", type=int, default=defaults.dim,
+                        help="embedding width (default %(default)s)")
+    parser.add_argument("--epochs", type=int, default=defaults.epochs,
+                        help="training epochs (default %(default)s)")
+    parser.add_argument("--lr", type=float, default=defaults.lr,
+                        help="initial learning rate (default %(default)s)")
+    _add_hash_flags(parser, defaults)
 
 
-def _add_hash_flags(parser) -> None:
-    parser.add_argument("--char-ngram-min", type=int, default=3,
-                        help="shortest hashed character n-gram (default 3)")
-    parser.add_argument("--char-ngram-max", type=int, default=6,
-                        help="longest hashed character n-gram (default 6)")
-    parser.add_argument("--bucket", type=int, default=2_000_000,
-                        help="hash buckets for character n-grams (default 2000000)")
+def _add_hash_flags(parser, defaults: Hyperparams) -> None:
+    parser.add_argument("--char-ngram-min", type=int, default=defaults.char_ngram_min,
+                        help="shortest hashed character n-gram (default %(default)s)")
+    parser.add_argument("--char-ngram-max", type=int, default=defaults.char_ngram_max,
+                        help="longest hashed character n-gram (default %(default)s)")
+    parser.add_argument("--bucket", type=int, default=defaults.bucket,
+                        help="hash buckets for character n-grams (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for anything random (default 42)")
     common.add_argument("--log", action="store_true",
                         help="emit a JSON-lines run log on stderr")
+    defaults = Hyperparams()
 
     parser = _Parser(prog="opinionpulse",
                      description="Corpus-to-conclusions opinion pipeline.")
@@ -530,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="matched messages, JSONL")
     p.add_argument("--unmatched-out", help="optional JSONL for the rest")
     p.add_argument("--stats", help="optional ingest-stats JSON")
-    p.add_argument("--lang", help="keep only this language tag (plus untagged)")
+    p.add_argument("--lang", type=_lang, help="keep only this language tag (plus untagged)")
     p.add_argument("--dedup", choices=("none", "by_id", "by_exact_text"), default="none",
                    help="duplicate removal before filtering (default none)")
     p.add_argument("--drop-reposts", action="store_true",
@@ -541,9 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank candidate query terms by collocation t-score")
     _add_corpus_flags(p)
     _add_query_flags(p)
-    p.add_argument("--rounds", type=int, default=1, help="ranking rounds (default 1)")
-    p.add_argument("--top-k", type=int, default=20, help="candidates per round (default 20)")
-    p.add_argument("--min-count", type=int, default=5,
+    p.add_argument("--rounds", type=_positive_int, default=1, help="ranking rounds (default 1)")
+    p.add_argument("--top-k", type=_positive_int, default=20,
+                   help="candidates per round (default 20)")
+    p.add_argument("--min-count", type=_positive_int, default=5,
                    help="minimum matched-side count for a candidate (default 5)")
     p.add_argument("--out", help="report JSON (default stdout)")
     p.set_defaults(func=cmd_expand_query)
@@ -552,8 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score each message against a polarity lexicon")
     _add_corpus_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lexicon", help="lexicon TSV (term<TAB>score)")
-    group.add_argument("--toy-lexicon", action="store_true", help="use the shipped toy lexicon")
+    group.add_argument("--lexicon", type=_input_file, help="lexicon TSV (term<TAB>score)")
+    group.add_argument("--toy-lexicon", dest="lexicon", action="store_const",
+                       const=toy_lexicon_path(), help="use the shipped toy lexicon")
     p.add_argument("--out", required=True, help="scored CSV (id,timestamp,value,hits)")
     p.add_argument("--summary", help="optional summary JSON")
     p.set_defaults(func=cmd_sentiment)
@@ -561,18 +512,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("timeseries", parents=[common],
                        help="bucket a corpus or scored CSV into a time series")
     p.add_argument("--kind", choices=("frequency", "sentiment"), required=True)
-    p.add_argument("--in", dest="infile", required=True,
+    p.add_argument("--in", dest="infile", type=_input_file, required=True,
                    help="corpus file (frequency) or scored CSV (sentiment)")
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
                    help="corpus format for --kind frequency (default jsonl)")
     p.add_argument("--bucket", choices=FREQUENCY_BUCKETS, default="day")
-    p.add_argument("--tz", default=DEFAULT_TZ_OFFSET,
+    p.add_argument("--tz", type=_tz, default=DEFAULT_TZ_OFFSET,
                    help=f"bucketing offset (default {DEFAULT_TZ_OFFSET})")
     p.add_argument("--out", required=True, help="series CSV")
-    p.add_argument("--ma", type=int, help="moving-average window (emits bucket,mean,n)")
+    p.add_argument("--ma", type=_positive_int,
+                   help="moving-average window (emits bucket,mean,n)")
     p.add_argument("--centered", action="store_true",
                    help="center the moving-average window instead of trailing")
-    p.add_argument("--events", help="events JSON to attach to buckets")
+    p.add_argument("--events", type=_input_file, help="events JSON to attach to buckets")
     p.add_argument("--events-out", help="where to write the event-marker report")
     p.add_argument("--drop-reposts", action="store_true",
                    help="frequency only: skip reposts")
@@ -585,70 +537,78 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     _add_query_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rate", type=float, help="per-message sampling rate in (0,1]")
-    group.add_argument("--n", type=int, help="exact sample size")
+    group.add_argument("--rate", type=_rate, help="per-message sampling rate in (0,1]")
+    group.add_argument("--n", type=_positive_int, help="exact sample size")
     p.add_argument("--out", required=True, help="annotation TSV template (empty label column)")
     p.set_defaults(func=cmd_annotate_sample)
 
     p = sub.add_parser("kappa", parents=[common],
                        help="inter-annotator agreement between two label TSVs")
-    p.add_argument("--a", required=True, help="first annotator's TSV")
-    p.add_argument("--b", required=True, help="second annotator's TSV")
+    p.add_argument("--a", type=_input_file, required=True, help="first annotator's TSV")
+    p.add_argument("--b", type=_input_file, required=True, help="second annotator's TSV")
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("train", parents=[common],
                        help="train a stance classifier on a labeled TSV")
-    p.add_argument("--labels", required=True, help="label<TAB>text training file")
-    _add_hyperparam_flags(p)
+    p.add_argument("--labels", type=_input_file, required=True,
+                   help="label<TAB>text training file")
+    _add_hyperparam_flags(p, defaults)
     p.add_argument("--out", required=True, help="model file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid-search", parents=[common],
                        help="pick hyperparameters on an 80/10/10 split")
-    p.add_argument("--labels", required=True, help="label<TAB>text file")
+    p.add_argument("--labels", type=_input_file, required=True, help="label<TAB>text file")
     p.add_argument("--objective", choices=("accuracy", "fraction_score"),
                    default="fraction_score")
-    p.add_argument("--dims", default="10", help="comma list, each in [10,300]")
-    p.add_argument("--epochs", default="10", help="comma list, each in [10,500]")
-    p.add_argument("--lrs", default="0.2", help="comma list, each in [0.05,1.0]")
-    _add_hash_flags(p)
+    p.add_argument("--dims", type=_int_list, default=[defaults.dim],
+                   help="comma list, each in [10,300]")
+    p.add_argument("--epochs", type=_int_list, default=[defaults.epochs],
+                   help="comma list, each in [10,500]")
+    p.add_argument("--lrs", type=_float_list, default=[defaults.lr],
+                   help="comma list, each in [0.05,1.0]")
+    _add_hash_flags(p, defaults)
     p.add_argument("--out", help="report JSON (default stdout)")
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("learning-curve", parents=[common],
                        help="accuracy and fraction score vs training-set size")
-    p.add_argument("--labels", required=True, help="label<TAB>text file")
-    _add_hyperparam_flags(p)
-    p.add_argument("--sizes", required=True, help="comma list of training sizes")
-    p.add_argument("--repeats", type=int, default=1, help="repeats per size (default 1)")
-    p.add_argument("--test-size", type=int,
+    p.add_argument("--labels", type=_input_file, required=True, help="label<TAB>text file")
+    _add_hyperparam_flags(p, defaults)
+    p.add_argument("--sizes", type=_int_list, required=True,
+                   help="comma list of training sizes")
+    p.add_argument("--repeats", type=_positive_int, default=1,
+                   help="repeats per size (default 1)")
+    p.add_argument("--test-size", type=_positive_int,
                    help="held-out size (default: everything beyond the largest train size)")
     p.add_argument("--out", help="curve CSV (default stdout)")
     p.set_defaults(func=cmd_learning_curve)
 
     p = sub.add_parser("predict", parents=[common],
                        help="label one text or a whole corpus with a trained model")
-    p.add_argument("--model", required=True, help="model file from train")
+    p.add_argument("--model", type=_input_file, required=True, help="model file from train")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--text", help="classify this text and print JSON")
-    group.add_argument("--in", dest="infile", help="corpus to label")
+    group.add_argument("--in", dest="infile", type=_input_file, help="corpus to label")
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     p.add_argument("--out", help="labeled JSONL (required with --in)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("stance-series", parents=[common],
                        help="stance rates per bucket from predict output")
-    p.add_argument("--in", dest="infile", required=True, help="labeled JSONL from predict")
+    p.add_argument("--in", dest="infile", type=_input_file, required=True,
+                   help="labeled JSONL from predict")
     p.add_argument("--bucket", choices=STANCE_BUCKETS, default="day")
-    p.add_argument("--tz", default=DEFAULT_TZ_OFFSET,
+    p.add_argument("--tz", type=_tz, default=DEFAULT_TZ_OFFSET,
                    help=f"bucketing offset (default {DEFAULT_TZ_OFFSET})")
     p.add_argument("--out", required=True, help="stance CSV")
     p.set_defaults(func=cmd_stance_series)
 
     p = sub.add_parser("correlate", parents=[common],
                        help="Pearson r between two series CSVs over shared buckets")
-    p.add_argument("--a", required=True, help="first series CSV")
-    p.add_argument("--b", required=True, help="second series CSV (may be date,value)")
+    p.add_argument("--a", type=_input_file, required=True, help="first series CSV")
+    p.add_argument("--b", type=_input_file, required=True,
+                   help="second series CSV (may be date,value)")
     p.add_argument("--out", help="optional result JSON")
     p.set_defaults(func=cmd_correlate)
 
@@ -689,3 +649,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

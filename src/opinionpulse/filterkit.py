@@ -15,7 +15,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import Message
 from .exceptions import InputError
@@ -233,32 +233,30 @@ class ExpansionReport:
 
 def expand_query(
     query: TopicQuery,
-    msgs: Sequence[Message],
+    msgs: Iterable[Message],
     rounds: int = 1,
     top_k: int = 20,
     min_count: int = 5,
 ) -> ExpansionReport:
-    """Propose new query terms per round; a human decides what to add.
+    """Propose new query terms; a human decides what to add.
 
-    Each round splits the corpus with the current query, ranks candidate
-    tokens by t-score and drops terms the query already contains. The
-    query itself is never mutated, so with a stable corpus every round
-    reports the same candidates until a human edits the query between
-    runs.
+    Splits the corpus with the query, ranks candidate tokens by t-score
+    and drops terms the query already contains. The query itself is never
+    mutated, so every one of the ``rounds`` reports the same candidates
+    until a human edits the query between runs; the corpus is read and
+    ranked once.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     known = set(query.keywords)
-    report_rounds = []
-    for _ in range(rounds):
-        matched, unmatched = split_corpus(msgs, query)
-        matched_counts = count_tokens(m.text for m in matched)
-        unmatched_counts = count_tokens(m.text for m in unmatched)
-        # rank everything first so excluded terms still count in the totals
-        ranked = tscore_rank(
-            matched_counts, unmatched_counts,
-            min_count=min_count, top_k=max(top_k, len(matched_counts)),
-        )
-        candidates = [s for s in ranked if s.token not in known][:top_k]
-        report_rounds.append(ExpansionRound(candidates=tuple(candidates)))
-    return ExpansionReport(query_name=query.name, rounds=tuple(report_rounds))
+    matched, unmatched = split_corpus(msgs, query)
+    matched_counts = count_tokens(m.text for m in matched)
+    unmatched_counts = count_tokens(m.text for m in unmatched)
+    # rank everything first so excluded terms still count in the totals
+    ranked = tscore_rank(
+        matched_counts, unmatched_counts,
+        min_count=min_count, top_k=max(top_k, len(matched_counts)),
+    )
+    candidates = tuple(s for s in ranked if s.token not in known)[:top_k]
+    return ExpansionReport(query_name=query.name,
+                           rounds=(ExpansionRound(candidates=candidates),) * rounds)

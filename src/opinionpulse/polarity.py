@@ -216,12 +216,15 @@ def write_scored_csv(scored: Iterable, handle) -> None:
 def read_scored_csv(path) -> Iterator:
     """Replay a scored CSV as (timestamp, value) pairs."""
     name = Path(path).name
+    first = True
     with open(path, encoding="utf-8", newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not any(cell.strip() for cell in row):
                 continue
-            if lineno == 1 and tuple(c.strip().lower() for c in row) == SCORED_CSV_HEADER:
-                continue
+            if first:
+                first = False
+                if tuple(c.strip().lower() for c in row) == SCORED_CSV_HEADER:
+                    continue
             if len(row) != 4:
                 raise InputError(f"{name}: expected id,timestamp,value,hits, line {lineno}")
             try:

@@ -133,6 +133,8 @@ def read_labeled_jsonl(path) -> Iterator:
                 continue
             try:
                 record = json.loads(line)
+                if record["stance"] not in LABELS:
+                    raise ValueError(f"unknown stance label {record['stance']!r}")
                 yield parse_timestamp(record["created_at"]), record["stance"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"{name}: bad labeled record, line {lineno}: {exc}") from None

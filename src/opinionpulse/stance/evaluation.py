@@ -295,6 +295,14 @@ class LearningCurvePoint:
         }
 
 
+def write_learning_curve_csv(points: Sequence[LearningCurvePoint], handle) -> None:
+    """Write ``size,mean_accuracy,mean_fraction_score`` rows; an undefined score is empty."""
+    handle.write("size,mean_accuracy,mean_fraction_score\n")
+    for point in points:
+        frac = "" if point.mean_fraction_score is None else repr(point.mean_fraction_score)
+        handle.write(f"{point.size},{point.mean_accuracy!r},{frac}\n")
+
+
 def learning_curve(
     examples: Sequence[LabeledExample],
     hp: Hyperparams | None = None,

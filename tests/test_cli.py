@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import opinionpulse
 from conftest import make_separable, msg, write_corpus, write_labels
+from opinionpulse import __version__
 from opinionpulse.cli import main
 from opinionpulse.corpus import ingest
 from opinionpulse.polarity import load_lexicon, score_stream, toy_lexicon_path
@@ -61,6 +67,70 @@ def train_fast_model(labels_file, model_path) -> None:
     assert main(argv + FAST_MODEL_FLAGS) == 0
 
 
+# every input-file flag of every subcommand
+INPUT_FILE_FLAGS = [
+    ("filter", "--in"), ("filter", "--query"),
+    ("expand-query", "--in"), ("expand-query", "--query"),
+    ("sentiment", "--in"), ("sentiment", "--lexicon"),
+    ("timeseries", "--in"), ("timeseries", "--events"),
+    ("annotate-sample", "--in"), ("annotate-sample", "--query"),
+    ("kappa", "--a"), ("kappa", "--b"),
+    ("train", "--labels"), ("grid-search", "--labels"), ("learning-curve", "--labels"),
+    ("predict", "--model"), ("predict", "--in"),
+    ("stance-series", "--in"),
+    ("correlate", "--a"), ("correlate", "--b"),
+]
+
+
+def _with_flag(argv, flag, value):
+    """``argv`` with ``flag`` set to ``value``, replaced or appended."""
+    if flag not in argv:
+        return [*argv, flag, value]
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+@pytest.fixture(scope="module")
+def valid_runs(tmp_path_factory):
+    """argv (without the command) of a run that succeeds, writing to ``out``."""
+    root = tmp_path_factory.mktemp("inputs")
+    corpus, query, events = root / "c.jsonl", root / "q.json", root / "events.json"
+    labels, model, labeled, series = (root / "l.tsv", root / "m.bin", root / "lab.jsonl",
+                                      root / "s.csv")
+    write_corpus(corpus, FIVE_MESSAGES)
+    query.write_text('{"name": "q", "keywords": ["corona"]}', encoding="utf-8")
+    events.write_text('[{"date": "2020-03-12", "label": "x"}]', encoding="utf-8")
+    write_labels(labels, make_separable(60, seed=13))
+    train_fast_model(labels, model)
+    labeled.write_text('{"created_at": "2020-03-11T10:00:00Z", "stance": "other"}\n',
+                       encoding="utf-8")
+    series.write_text("date,value\n2020-03-11,1\n2020-03-12,3\n2020-03-13,2\n",
+                      encoding="utf-8")
+    c, q, lab = str(corpus), str(query), str(labels)
+
+    def argv(command, out):
+        return {
+            "filter": ["--in", c, "--query", q, "--out", out],
+            "expand-query": ["--in", c, "--query", q, "--min-count", "1", "--out", out],
+            "sentiment": ["--in", c, "--lexicon", str(toy_lexicon_path()), "--out", out],
+            "timeseries": ["--kind", "frequency", "--in", c, "--events", str(events),
+                           "--events-out", out + ".events", "--out", out],
+            "annotate-sample": ["--in", c, "--query", q, "--n", "1", "--out", out],
+            "kappa": ["--a", lab, "--b", lab],
+            "train": ["--labels", lab, *FAST_MODEL_FLAGS, "--out", out],
+            "grid-search": ["--labels", lab, "--dims", "16", "--epochs", "25", "--lrs", "0.3",
+                            "--bucket", "2000", "--out", out],
+            "learning-curve": ["--labels", lab, *FAST_MODEL_FLAGS, "--sizes", "20,40",
+                               "--out", out],
+            "predict": ["--model", str(model), "--in", c, "--out", out],
+            "stance-series": ["--in", str(labeled), "--out", out],
+            "correlate": ["--a", str(series), "--b", str(series), "--out", out],
+        }[command]
+
+    return argv
+
+
 class TestHelpAndVersion:
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -75,6 +145,15 @@ class TestHelpAndVersion:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "opinionpulse" in capsys.readouterr().out
+
+    def test_module_run_prints_version(self):
+        src = str(Path(opinionpulse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "opinionpulse.cli", "--version"],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0
+        assert result.stdout == f"opinionpulse {__version__}\n"
 
 
 class TestExitCodes:
@@ -115,6 +194,40 @@ class TestExitCodes:
         second.write_text("supports\tx\n", encoding="utf-8")
         assert main(["kappa", "--a", str(first), "--b", str(second)]) == 2
         assert "differ in length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("learning-curve", "--test-size", "0"),
+        ("learning-curve", "--sizes", ""),
+        ("grid-search", "--dims", ""),
+        ("timeseries", "--tz", "+25:00"),
+    ])
+    def test_bad_flag_value_exits_one(self, command, flag, value, valid_runs, tmp_path, capsys):
+        argv = _with_flag(valid_runs(command, str(tmp_path / "out")), flag, value)
+        assert main([command, *argv, "--log"]) == 1
+        err = capsys.readouterr().err
+        assert f"opinionpulse {command}: error: argument {flag}: expected " in err
+        assert '"event": "run"' not in err
+
+
+class TestInputFileFlags:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_valid_run_succeeds(self, command, valid_runs, tmp_path):
+        # the premise of the test below: only the broken flag makes it fail
+        assert main([command, *valid_runs(command, str(tmp_path / "out"))]) == 0
+
+    @pytest.mark.parametrize("command, flag", INPUT_FILE_FLAGS)
+    def test_missing_file_exits_one_before_output(self, command, flag, valid_runs,
+                                                  tmp_path, capsys):
+        out = tmp_path / "out"
+        outputs = [out, tmp_path / "out.events"]
+        for path in outputs:
+            path.write_text("oude inhoud\n", encoding="utf-8")
+        missing = str(tmp_path / "nope")
+        assert main([command, *_with_flag(valid_runs(command, str(out)), flag, missing)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected an existing file, got '{missing}'" in err
+        assert [p.read_text(encoding="utf-8") for p in outputs] == ["oude inhoud\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.events"]
 
 
 class TestFilter:
@@ -318,6 +431,19 @@ class TestSentimentAndTimeseries:
         argv = ["timeseries", "--kind", "frequency", "--in", str(corpus),
                 "--out", str(tmp_path / "o.csv"), "--events", "whatever.json"]
         assert main(argv) == 1
+
+    @pytest.mark.parametrize("events_text, code", [(None, 1), ('[{"date": "bad"}]', 2)])
+    def test_bad_events_file_leaves_out_untouched(self, events_text, code, corpus, tmp_path):
+        events = tmp_path / "events.json"
+        if events_text is not None:
+            events.write_text(events_text, encoding="utf-8")
+        out = tmp_path / "s.csv"
+        out.write_text("oude inhoud\n", encoding="utf-8")
+        argv = ["timeseries", "--kind", "frequency", "--in", str(corpus), "--out", str(out),
+                "--events", str(events), "--events-out", str(tmp_path / "m.json")]
+        assert main(argv) == code
+        assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestAnnotateAndKappa:

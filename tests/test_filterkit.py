@@ -301,6 +301,21 @@ class TestExpansion:
         report = expand_query(self.query(), self.corpus(), rounds=2, top_k=5, min_count=5)
         assert report.rounds[0] == report.rounds[1]
 
+    def test_corpus_ranked_once_for_all_rounds(self, monkeypatch):
+        import opinionpulse.filterkit as filterkit
+
+        calls = []
+
+        def counting_split(msgs, query):
+            calls.append(query)
+            return split_corpus(msgs, query)
+
+        monkeypatch.setattr(filterkit, "split_corpus", counting_split)
+        report = expand_query(self.query(), self.corpus(), rounds=3, top_k=5, min_count=5)
+        assert len(calls) == 1
+        assert len(report.rounds) == 3
+        assert report.rounds[0] == report.rounds[1] == report.rounds[2]
+
     def test_all_matched_tokens_already_known_yields_nothing(self):
         msgs = make_messages(["aap noot", "aap mies", "boom roos vis"])
         q = TopicQuery(name="alles", keywords=frozenset({"aap", "noot", "mies"}))

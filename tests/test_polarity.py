@@ -206,3 +206,9 @@ class TestScoredCsv:
         path.write_text("id,timestamp,value,hits\na,2020-03-01T10:00:00Z,0.5\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"scored.csv: expected id,timestamp,value,hits, line 2"):
             list(read_scored_csv(path))
+
+    def test_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("\n\nid,timestamp,value,hits\na,2020-03-01T10:00:00Z,0.5,1\n",
+                        encoding="utf-8")
+        assert [value for _, value in read_scored_csv(path)] == [0.5]

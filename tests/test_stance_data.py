@@ -176,3 +176,12 @@ class TestLabeledJsonl:
                         encoding="utf-8")
         with pytest.raises(InputError, match=r"labeled.jsonl: bad labeled record, line 2"):
             list(read_labeled_jsonl(path))
+
+    def test_unknown_label_names_line(self, tmp_path):
+        path = tmp_path / "lab.jsonl"
+        path.write_text('{"created_at": "2020-03-01T10:00:00Z", "stance": "other"}\n\n'
+                        '{"created_at": "2020-03-01T11:00:00Z", "stance": "maybe"}\n',
+                        encoding="utf-8")
+        with pytest.raises(InputError, match=r"^lab.jsonl: bad labeled record, line 3: "
+                                             r"unknown stance label 'maybe'$"):
+            list(read_labeled_jsonl(path))
