@@ -5,9 +5,9 @@ train and apply a stance classifier. Every run with the same flags and
 inputs produces byte-identical outputs; output files are written to a
 temp file and renamed, so a failing run never leaves partial files.
 
-Exit codes: 0 success, 1 usage error (a bad flag value or missing input
-file, rejected by the parser before any output is opened), 2 data error
-(a file exists but violates its format).
+Exit codes: 0 success, 1 usage error (a bad flag value, a missing input
+file or an output in a missing directory, rejected by the parser before
+any output is opened), 2 data error (a file exists but violates its format).
 """
 
 from __future__ import annotations
@@ -129,12 +129,12 @@ def _setup_logging(json_mode: bool):
 
 @contextmanager
 def _atomic_path(path):
-    """Yield a temp path that replaces ``path`` only if the body succeeds."""
+    """Yield a temp path that replaces ``path`` only if the body succeeds.
+
+    The parser's ``_output_file`` type has checked that the directory exists.
+    """
     path = Path(path)
-    parent = path.parent if str(path.parent) else Path(".")
-    if not parent.is_dir():
-        raise UsageError(f"output directory does not exist: {parent}")
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=f".{path.name}.")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     os.close(fd)
     # mkstemp creates 0600; give the published file normal umask permissions
     umask = os.umask(0)
@@ -194,6 +194,8 @@ def _flag_type(convert, expected: str, accept=lambda value: True):
 
 
 _input_file = _flag_type(Path, "an existing file", Path.is_file)
+_output_file = _flag_type(Path, "a file in an existing directory",
+                          lambda path: path.parent.is_dir() and not path.is_dir())
 _positive_int = _flag_type(int, "a positive integer", lambda n: n >= 1)
 _rate = _flag_type(float, "a rate in (0, 1]", lambda rate: 0 < rate <= 1)
 _lang = _flag_type(str, "a 2- or 3-letter language tag",
@@ -476,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep messages that match a topic query")
     _add_corpus_flags(p)
     _add_query_flags(p)
-    p.add_argument("--out", required=True, help="matched messages, JSONL")
-    p.add_argument("--unmatched-out", help="optional JSONL for the rest")
-    p.add_argument("--stats", help="optional ingest-stats JSON")
+    p.add_argument("--out", type=_output_file, required=True, help="matched messages, JSONL")
+    p.add_argument("--unmatched-out", type=_output_file, help="optional JSONL for the rest")
+    p.add_argument("--stats", type=_output_file, help="optional ingest-stats JSON")
     p.add_argument("--lang", type=_lang, help="keep only this language tag (plus untagged)")
     p.add_argument("--dedup", choices=("none", "by_id", "by_exact_text"), default="none",
                    help="duplicate removal before filtering (default none)")
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidates per round (default 20)")
     p.add_argument("--min-count", type=_positive_int, default=5,
                    help="minimum matched-side count for a candidate (default 5)")
-    p.add_argument("--out", help="report JSON (default stdout)")
+    p.add_argument("--out", type=_output_file, help="report JSON (default stdout)")
     p.set_defaults(func=cmd_expand_query)
 
     p = sub.add_parser("sentiment", parents=[common],
@@ -505,8 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lexicon", type=_input_file, help="lexicon TSV (term<TAB>score)")
     group.add_argument("--toy-lexicon", dest="lexicon", action="store_const",
                        const=toy_lexicon_path(), help="use the shipped toy lexicon")
-    p.add_argument("--out", required=True, help="scored CSV (id,timestamp,value,hits)")
-    p.add_argument("--summary", help="optional summary JSON")
+    p.add_argument("--out", type=_output_file, required=True,
+                   help="scored CSV (id,timestamp,value,hits)")
+    p.add_argument("--summary", type=_output_file, help="optional summary JSON")
     p.set_defaults(func=cmd_sentiment)
 
     p = sub.add_parser("timeseries", parents=[common],
@@ -518,14 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus format for --kind frequency (default jsonl)")
     p.add_argument("--bucket", choices=FREQUENCY_BUCKETS, default="day")
     p.add_argument("--tz", type=_tz, default=DEFAULT_TZ_OFFSET,
-                   help=f"bucketing offset (default {DEFAULT_TZ_OFFSET})")
-    p.add_argument("--out", required=True, help="series CSV")
+                   help=f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
+                        "give a negative one as --tz=-05:30")
+    p.add_argument("--out", type=_output_file, required=True, help="series CSV")
     p.add_argument("--ma", type=_positive_int,
                    help="moving-average window (emits bucket,mean,n)")
     p.add_argument("--centered", action="store_true",
                    help="center the moving-average window instead of trailing")
     p.add_argument("--events", type=_input_file, help="events JSON to attach to buckets")
-    p.add_argument("--events-out", help="where to write the event-marker report")
+    p.add_argument("--events-out", type=_output_file,
+                   help="where to write the event-marker report")
     p.add_argument("--drop-reposts", action="store_true",
                    help="frequency only: skip reposts")
     p.add_argument("--nonzero-only", action="store_true",
@@ -539,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rate", type=_rate, help="per-message sampling rate in (0,1]")
     group.add_argument("--n", type=_positive_int, help="exact sample size")
-    p.add_argument("--out", required=True, help="annotation TSV template (empty label column)")
+    p.add_argument("--out", type=_output_file, required=True,
+                   help="annotation TSV template (empty label column)")
     p.set_defaults(func=cmd_annotate_sample)
 
     p = sub.add_parser("kappa", parents=[common],
@@ -553,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=_input_file, required=True,
                    help="label<TAB>text training file")
     _add_hyperparam_flags(p, defaults)
-    p.add_argument("--out", required=True, help="model file")
+    p.add_argument("--out", type=_output_file, required=True, help="model file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid-search", parents=[common],
@@ -568,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lrs", type=_float_list, default=[defaults.lr],
                    help="comma list, each in [0.05,1.0]")
     _add_hash_flags(p, defaults)
-    p.add_argument("--out", help="report JSON (default stdout)")
+    p.add_argument("--out", type=_output_file, help="report JSON (default stdout)")
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("learning-curve", parents=[common],
@@ -581,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeats per size (default 1)")
     p.add_argument("--test-size", type=_positive_int,
                    help="held-out size (default: everything beyond the largest train size)")
-    p.add_argument("--out", help="curve CSV (default stdout)")
+    p.add_argument("--out", type=_output_file, help="curve CSV (default stdout)")
     p.set_defaults(func=cmd_learning_curve)
 
     p = sub.add_parser("predict", parents=[common],
@@ -591,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--text", help="classify this text and print JSON")
     group.add_argument("--in", dest="infile", type=_input_file, help="corpus to label")
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p.add_argument("--out", help="labeled JSONL (required with --in)")
+    p.add_argument("--out", type=_output_file, help="labeled JSONL (required with --in)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("stance-series", parents=[common],
@@ -600,8 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="labeled JSONL from predict")
     p.add_argument("--bucket", choices=STANCE_BUCKETS, default="day")
     p.add_argument("--tz", type=_tz, default=DEFAULT_TZ_OFFSET,
-                   help=f"bucketing offset (default {DEFAULT_TZ_OFFSET})")
-    p.add_argument("--out", required=True, help="stance CSV")
+                   help=f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
+                        "give a negative one as --tz=-05:30")
+    p.add_argument("--out", type=_output_file, required=True, help="stance CSV")
     p.set_defaults(func=cmd_stance_series)
 
     p = sub.add_parser("correlate", parents=[common],
@@ -609,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_input_file, required=True, help="first series CSV")
     p.add_argument("--b", type=_input_file, required=True,
                    help="second series CSV (may be date,value)")
-    p.add_argument("--out", help="optional result JSON")
+    p.add_argument("--out", type=_output_file, help="optional result JSON")
     p.set_defaults(func=cmd_correlate)
 
     return parser

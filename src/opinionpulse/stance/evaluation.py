@@ -19,7 +19,7 @@ import numpy as np
 
 from ..exceptions import InputError
 from .data import LABEL_INDEX, LABELS, LabeledExample
-from .model import Hyperparams, StanceModel, predict, train, with_seed
+from .model import Hyperparams, StanceModel, predict_batch, train, with_seed
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +108,7 @@ def evaluate(model: StanceModel, test: Sequence[LabeledExample]) -> EvaluationRe
     if not test:
         raise InputError("empty evaluation set")
     gold = [ex.label for ex in test]
-    predicted = [predict(model, ex.text)[0] for ex in test]
+    predicted = [label for label, _ in predict_batch(model, [ex.text for ex in test])]
     return report_from_labels(gold, predicted)
 
 
@@ -256,8 +256,8 @@ def grid_search(
     best_key = None
     best_hp = None
     for hp in grid:
-        model = train(train_set, hp)
-        report = evaluate(model, val_set)
+        # unnamed, so a config's model is freed before the next one trains
+        report = evaluate(train(train_set, hp), val_set)
         score = _objective_score(report, objective)
         rows.append(GridRow(hyperparams=hp, validation=report, score=score))
         key = (score, -hp.dim, -hp.epochs, -hp.lr)

@@ -5,6 +5,11 @@ per in-vocabulary word plus one per hashed character n-gram (the word
 padded as "<word>"). A single linear layer over that mean produces
 three-way softmax scores. Training is plain seeded SGD with a linearly
 decaying learning rate, single threaded so runs are reproducible.
+
+Every embedding row starts as a pure function of ``(seed, row)``, so the
+model stores only the rows that training updated; any other row, such as
+an n-gram bucket first seen at predict time, keeps its initial vector, as
+in fastText's hashed subword n-grams (Bojanowski et al. 2017).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +30,14 @@ from .data import LABELS, LabeledExample
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# initial_rows fills this many rows at a time, so its temporaries stay small
+INIT_BLOCK_ROWS = 1024
+# distinct words whose feature sums a model keeps for predict; emptied when full
+PREDICT_CACHE_WORDS = 1 << 15
+# messages label_corpus reads ahead and labels with one predict_batch call
+PREDICT_BATCH = 64
 
 DIM_RANGE = (10, 300)
 EPOCHS_RANGE = (10, 500)
@@ -33,6 +45,11 @@ LR_RANGE = (0.05, 1.0)
 
 FNV_OFFSET = 0x811C9DC5
 FNV_PRIME = 0x01000193
+
+UINT64_MASK = (1 << 64) - 1
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
+SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 
 @dataclass(frozen=True)
@@ -127,16 +144,8 @@ class FeatureIndexer:
         self.vocab = list(vocab)
         self.word_ids = {word: i for i, word in enumerate(self.vocab)}
         self.hp = hp
-        self._word_cache: dict[str, list[int]] = {}
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.vocab) + self.hp.bucket
 
     def word_features(self, word: str) -> list[int]:
-        cached = self._word_cache.get(word)
-        if cached is not None:
-            return cached
         rows = []
         word_id = self.word_ids.get(word)
         if word_id is not None:
@@ -144,13 +153,6 @@ class FeatureIndexer:
         offset = len(self.vocab)
         for gram in char_ngrams(word, self.hp.char_ngram_min, self.hp.char_ngram_max):
             rows.append(offset + fnv1a(gram.encode("utf-8")) % self.hp.bucket)
-        self._word_cache[word] = rows
-        return rows
-
-    def text_features(self, text: str) -> list[int]:
-        rows = []
-        for word in tokenize(text):
-            rows.extend(self.word_features(word))
         return rows
 
     def compress(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +171,8 @@ class FeatureIndexer:
 class StanceModel:
     hyperparams: Hyperparams
     vocab: list[str]
-    E: np.ndarray  # (len(vocab) + bucket, dim) feature embeddings
+    rows: np.ndarray  # (k,) sorted int64 ids of the embedding rows training touched
+    E: np.ndarray  # (k, dim) their vectors; every other row keeps initial_rows()
     W: np.ndarray  # (len(LABELS), dim) output layer
     b: np.ndarray  # (len(LABELS),)
     labels: tuple[str, ...] = LABELS
@@ -177,10 +180,46 @@ class StanceModel:
 
     def __post_init__(self):
         self._indexer = FeatureIndexer(self.vocab, self.hyperparams)
+        # word -> (sum of its feature vectors, feature count), for predict
+        self._word_cache: dict[str, tuple[np.ndarray, int]] = {}
 
     @property
     def indexer(self) -> FeatureIndexer:
         return self._indexer
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function, in place on a uint64 array of states."""
+    z ^= z >> 30
+    z *= SPLITMIX_MUL1
+    z ^= z >> 27
+    z *= SPLITMIX_MUL2
+    z ^= z >> 31
+    return z
+
+
+def initial_rows(seed: int, rows, dim: int) -> np.ndarray:
+    """Initial vectors of embedding ``rows``: float32, uniform in [-1/dim, 1/dim).
+
+    Cell ``(row, col)`` is output number ``row * dim + col + 1`` of a
+    splitmix64 generator started at ``seed``. A row's vector therefore does
+    not depend on which other rows are asked for with it, or in what order.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    out = np.empty((rows.size, dim), dtype=np.float32)
+    # generator state of cell (row, col): seed + (row * dim + col + 1) * gamma
+    row_stride = dim * SPLITMIX_GAMMA & UINT64_MASK
+    col_states = np.arange(1, dim + 1, dtype=np.uint64) * SPLITMIX_GAMMA
+    col_states += seed & UINT64_MASK
+    for start in range(0, rows.size, INIT_BLOCK_ROWS):
+        states = rows[start : start + INIT_BLOCK_ROWS, None] * row_stride + col_states
+        # the top 24 bits k of each hash; k < 2**24 converts to float32 exactly
+        out[start : start + INIT_BLOCK_ROWS] = _splitmix64(states) >> 40
+    # 2 * k / 2**24 - 1 is exact and uniform over [-1, 1); / dim rounds once
+    out *= 2.0**-23
+    out -= 1
+    out /= dim
+    return out
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -217,8 +256,9 @@ def loss_and_grads(
 def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> StanceModel:
     """Train a classifier on labeled examples.
 
-    Deterministic for a fixed seed: initialization, epoch shuffles and
-    the update order all derive from one generator.
+    Deterministic for a fixed seed: the initial vectors come from
+    ``initial_rows`` and the epoch shuffles from one generator. Only the
+    embedding rows some example touches are allocated.
     """
     hp = hp or Hyperparams()
     examples = list(examples)
@@ -235,18 +275,23 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
         for word in words:
             vocab.setdefault(word, None)
     indexer = FeatureIndexer(list(vocab), hp)
+    features = {word: indexer.word_features(word) for word in vocab}
 
     compressed = []
     label_ids = []
     for ex, words in zip(examples, tokenized):
-        rows: list[int] = []
-        for word in words:
-            rows.extend(indexer.word_features(word))
+        rows = [row for word in words for row in features[word]]
         compressed.append(indexer.compress(rows) if rows else None)
         label_ids.append(LABELS.index(ex.label))
 
+    # global row ids -> local indices into the touched rows
+    touched = np.unique(np.concatenate(
+        [pair[0] for pair in compressed if pair is not None] or [np.empty(0, np.int64)]))
+    compressed = [None if pair is None else (np.searchsorted(touched, pair[0]), pair[1])
+                  for pair in compressed]
+
     rng = np.random.default_rng(hp.seed)
-    E = (rng.random((indexer.n_rows, hp.dim), dtype=np.float32) * 2 - 1) / hp.dim
+    E = initial_rows(hp.seed, touched, hp.dim)
     W = np.zeros((len(LABELS), hp.dim), dtype=np.float32)
     b = np.zeros(len(LABELS), dtype=np.float32)
 
@@ -271,21 +316,60 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
             b -= (lr * gb).astype(np.float32)
         loss_history.append(epoch_loss / n)
 
-    model = StanceModel(hyperparams=hp, vocab=list(vocab), E=E, W=W, b=b)
+    model = StanceModel(hyperparams=hp, vocab=list(vocab), rows=touched, E=E, W=W, b=b)
     model.loss_history = loss_history
-    logger.info("trained on %d examples, final epoch loss %.4f", n, loss_history[-1])
+    logger.info("trained on %d examples, %d embedding rows, final epoch loss %.4f",
+                n, len(touched), loss_history[-1])
     return model
 
 
-def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
-    """Label a text; returns (label, per-class probabilities).
+def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarray, int]]:
+    """(sum of feature vectors, feature count) of each word, in one batch.
 
-    A text with no extractable features falls back to the bias scores.
+    Stored rows come from ``E``; any other row is its initial vector.
     """
-    rows = model.indexer.text_features(text)
-    if rows:
-        urows, weights = model.indexer.compress(rows)
-        h = weights @ model.E[urows]
+    hp = model.hyperparams
+    features = [model.indexer.word_features(word) for word in words]
+    counts = [len(rows) for rows in features]
+    flat = np.fromiter(chain.from_iterable(features), dtype=np.int64, count=sum(counts))
+    vectors = initial_rows(hp.seed, flat, hp.dim)
+    if model.rows.size:
+        at = np.searchsorted(model.rows, flat)
+        stored = model.rows.take(at, mode="clip") == flat
+        vectors[stored] = model.E[at[stored]]
+    sums = np.zeros((len(words), hp.dim))
+    # reduceat needs a non-empty segment per start; a word shorter than
+    # char_ngram_min and outside the vocabulary has no features
+    nonempty = [i for i, count in enumerate(counts) if count]
+    if nonempty:
+        starts = np.cumsum(counts) - counts
+        sums[nonempty] = np.add.reduceat(vectors, starts[nonempty], axis=0, dtype=np.float64)
+    return list(zip(sums, counts))
+
+
+def _word_sums(model: StanceModel, words: list[str]) -> dict[str, tuple[np.ndarray, int]]:
+    """Feature sum and count of every distinct word, through the model's word cache.
+
+    The cache holds at most PREDICT_CACHE_WORDS words and is emptied when
+    the new words of a batch would not fit.
+    """
+    cache = model._word_cache
+    found = {word: cache.get(word) for word in dict.fromkeys(words)}
+    missing = [word for word, entry in found.items() if entry is None]
+    if missing:
+        new = dict(zip(missing, _resolve_words(model, missing)))
+        found.update(new)
+        if len(cache) + len(new) > PREDICT_CACHE_WORDS:
+            cache.clear()
+        if len(new) <= PREDICT_CACHE_WORDS:
+            cache.update(new)
+    return found
+
+
+def _classify(model: StanceModel, sums: dict[str, tuple[np.ndarray, int]], words: list[str]):
+    count = sum(sums[word][1] for word in words)
+    if count:
+        h = np.sum([sums[word][0] for word in words], axis=0) / count
         z = model.W @ h + model.b
     else:
         z = model.b
@@ -293,32 +377,52 @@ def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
     return model.labels[int(np.argmax(probs))], probs
 
 
+def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
+    """Label a text; returns (label, per-class probabilities).
+
+    A text with no extractable features falls back to the bias scores.
+    """
+    return predict_batch(model, [text])[0]
+
+
+def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, np.ndarray]]:
+    """``predict`` for each text; the new words of all texts are resolved in one batch."""
+    tokenized = [tokenize(text) for text in texts]
+    sums = _word_sums(model, list(chain.from_iterable(tokenized)))
+    return [_classify(model, sums, words) for words in tokenized]
+
+
 def label_corpus(
     model: StanceModel, msgs: Iterable[Message]
 ) -> Iterator[tuple[Message, str, np.ndarray]]:
-    """Predict a stance for each message, preserving input order."""
-    for msg in msgs:
-        label, probs = predict(model, msg.text)
-        yield msg, label, probs
+    """Predict a stance for each message, PREDICT_BATCH at a time, preserving input order."""
+    msgs = iter(msgs)
+    while batch := list(islice(msgs, PREDICT_BATCH)):
+        for msg, (label, probs) in zip(batch, predict_batch(model, [msg.text for msg in batch])):
+            yield msg, label, probs
 
 
 def save_model(model: StanceModel, path) -> None:
-    """Write the model: one JSON header line, then raw float32 arrays.
+    """Write the model: one JSON header line, then the stored rows and arrays.
 
-    Arrays are stored little endian in the header's declared order so a
-    load reproduces the exact training-time bits.
+    The payload is the header's ``rows`` count of int64 row ids, then
+    ``E``, ``W`` and ``b`` as float32, all little endian, so a load
+    reproduces the exact training-time bits.
     """
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "hyperparams": model.hyperparams.to_dict(),
         "label_order": list(model.labels),
+        "rows": int(model.rows.size),
         "vocab": model.vocab,
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8"))
         handle.write(b"\n")
+        # written through the buffer protocol: no bytes copy of the arrays
+        handle.write(np.ascontiguousarray(model.rows, dtype="<i8"))
         for array in (model.E, model.W, model.b):
-            handle.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+            handle.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def load_model(path) -> StanceModel:
@@ -330,7 +434,9 @@ def load_model(path) -> StanceModel:
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError:
-            raise InputError(f"{path.name}: malformed model header") from None
+            header = None
+        if not isinstance(header, dict):
+            raise InputError(f"{path.name}: malformed model header")
         version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise InputError(f"{path.name}: unsupported model format {version!r}")
@@ -338,24 +444,26 @@ def load_model(path) -> StanceModel:
             hp = Hyperparams(**header["hyperparams"])
             labels = tuple(header["label_order"])
             vocab = list(header["vocab"])
+            k = int(header["rows"])
+            if k < 0:
+                raise ValueError(f"negative row count {k}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path.name}: bad model header: {exc}") from None
-        blob = handle.read()
+        payload = np.fromfile(handle, dtype=np.uint8)
 
-    n_rows = len(vocab) + hp.bucket
-    shapes = [(n_rows, hp.dim), (len(labels), hp.dim), (len(labels),)]
-    expected = sum(r * c for r, c in ((s[0], s[1]) if len(s) == 2 else (s[0], 1) for s in shapes))
-    data = np.frombuffer(blob, dtype="<f4")
-    if data.size != expected:
-        raise InputError(f"{path.name}: model payload has {data.size} floats, expected {expected}")
-    offset = 0
-    arrays = []
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(data[offset : offset + size].reshape(shape).copy())
-        offset += size
-    E, W, b = arrays
-    return StanceModel(hyperparams=hp, vocab=vocab, E=E, W=W, b=b, labels=labels)
+    n_labels = len(labels)
+    expected = 8 * k + 4 * (k * hp.dim + n_labels * hp.dim + n_labels)
+    if payload.size != expected:
+        raise InputError(
+            f"{path.name}: model payload has {payload.size} bytes, expected {expected}")
+    rows = payload[: 8 * k].view("<i8")
+    if np.any(rows[1:] <= rows[:-1]):
+        raise InputError(f"{path.name}: model rows are not strictly increasing")
+    if k and (rows[0] < 0 or rows[-1] >= len(vocab) + hp.bucket):
+        raise InputError(f"{path.name}: model rows outside [0, {len(vocab) + hp.bucket})")
+    E, W, b = np.split(payload[8 * k :].view("<f4"), [k * hp.dim, (k + n_labels) * hp.dim])
+    return StanceModel(hyperparams=hp, vocab=vocab, rows=rows, E=E.reshape(k, hp.dim),
+                       W=W.reshape(n_labels, hp.dim), b=b, labels=labels)
 
 
 def with_seed(hp: Hyperparams, seed: int) -> Hyperparams:

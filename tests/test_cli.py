@@ -82,6 +82,20 @@ INPUT_FILE_FLAGS = [
 ]
 
 
+# every output-file flag of every subcommand
+OUTPUT_FILE_FLAGS = [
+    ("filter", "--out"), ("filter", "--unmatched-out"), ("filter", "--stats"),
+    ("expand-query", "--out"),
+    ("sentiment", "--out"), ("sentiment", "--summary"),
+    ("timeseries", "--out"), ("timeseries", "--events-out"),
+    ("annotate-sample", "--out"),
+    ("train", "--out"), ("grid-search", "--out"), ("learning-curve", "--out"),
+    ("predict", "--out"),
+    ("stance-series", "--out"),
+    ("correlate", "--out"),
+]
+
+
 def _with_flag(argv, flag, value):
     """``argv`` with ``flag`` set to ``value``, replaced or appended."""
     if flag not in argv:
@@ -228,6 +242,28 @@ class TestInputFileFlags:
         assert f"error: argument {flag}: expected an existing file, got '{missing}'" in err
         assert [p.read_text(encoding="utf-8") for p in outputs] == ["oude inhoud\n"] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.events"]
+
+
+class TestOutputFileFlags:
+    @pytest.mark.parametrize("command, flag", OUTPUT_FILE_FLAGS)
+    def test_missing_directory_exits_one_before_output(self, command, flag, valid_runs,
+                                                       tmp_path, capsys):
+        out = tmp_path / "out"
+        outputs = [out, tmp_path / "out.events"]
+        for path in outputs:
+            path.write_text("oude inhoud\n", encoding="utf-8")
+        nowhere = str(tmp_path / "nodir" / "x.json")
+        assert main([command, *_with_flag(valid_runs(command, str(out)), flag, nowhere)]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: argument {flag}: expected a file in an existing directory, "
+                f"got '{nowhere}'") in err
+        assert [p.read_text(encoding="utf-8") for p in outputs] == ["oude inhoud\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.events"]
+
+    def test_existing_directory_is_not_an_output(self, valid_runs, tmp_path, capsys):
+        argv = valid_runs("sentiment", str(tmp_path))
+        assert main(["sentiment", *argv]) == 1
+        assert "expected a file in an existing directory" in capsys.readouterr().err
 
 
 class TestFilter:
@@ -377,6 +413,18 @@ class TestSentimentAndTimeseries:
         assert "2020-03-11T15:30:00+01:00" not in buckets
         assert "2020-03-11T15:00:00+01:00" in buckets
 
+    def test_negative_tz_shifts_day_buckets(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        # 03:00 UTC is 21:30 the day before at -05:30, 04:00 the same day at +01:00
+        write_corpus(corpus, [msg("corona", id="a", ts="2020-03-12T03:00:00Z")])
+        out = tmp_path / "freq.csv"
+        base = ["timeseries", "--kind", "frequency", "--in", str(corpus), "--out", str(out)]
+        assert main(base) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == ["2020-03-12,1"]
+        # a separate "-05:30" word would be taken for a flag, so the = form is needed
+        assert main([*base, "--tz=-05:30"]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == ["2020-03-11,1"]
+
     def test_nonzero_only_drops_zero_scores(self, corpus, tmp_path):
         scored = self.run_sentiment(corpus, tmp_path)
         rows = list(csv.reader(io.StringIO(scored.read_text(encoding="utf-8"))))[1:]
@@ -505,8 +553,26 @@ class TestModelFlow:
     def test_train_writes_model(self, labels_file, tmp_path):
         model_path = self.train_model(labels_file, tmp_path)
         header = json.loads(model_path.read_bytes().partition(b"\n")[0])
-        assert header["format_version"] == 1
+        assert header["format_version"] == 2
         assert header["hyperparams"]["dim"] == 16
+
+    def test_train_memory_follows_touched_rows(self, labels_file, tmp_path):
+        # default 2M buckets: a dense table at dim 50 alone would be 382 MiB.
+        # A small helper interpreter starts train and reads its own peak RSS
+        # from os.wait4, so the test process's pages are not counted.
+        src = str(Path(opinionpulse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        helper = ("import os, subprocess, sys\n"
+                  "child = subprocess.Popen(sys.argv[1:])\n"
+                  "_, status, usage = os.wait4(child.pid, 0)\n"
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        argv = [sys.executable, "-c", helper, sys.executable, "-m", "opinionpulse.cli", "train",
+                "--labels", str(labels_file), "--dim", "50", "--out", str(tmp_path / "m.bin")]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        code, maxrss_kib = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        assert maxrss_kib < 100 * 1024
 
     def test_train_deterministic(self, labels_file, tmp_path):
         for name in ("one", "two"):

@@ -1,6 +1,8 @@
 """Classifier internals: features, training, persistence."""
 
 import json
+from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,18 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_separable
+from opinionpulse.corpus import Message
 from opinionpulse.exceptions import InputError
 from opinionpulse.stance import Hyperparams, grid_hyperparams, load_model, predict, save_model, train
 from opinionpulse.stance.data import LABELS, LabeledExample
+from opinionpulse.stance import model as model_module
 from opinionpulse.stance.model import (
     FeatureIndexer,
     char_ngrams,
     fnv1a,
+    initial_rows,
+    label_corpus,
+    log_softmax,
     loss_and_grads,
     with_seed,
 )
+from opinionpulse.tokenization import tokenize
 
 FAST = Hyperparams(dim=10, epochs=20, lr=0.2, bucket=1000, seed=42)
+
+
+def make_message(text, i):
+    return Message(id=str(i), timestamp=datetime(2020, 3, 12, tzinfo=timezone.utc), text=text)
 
 
 def two_class_examples(n=200):
@@ -143,6 +155,40 @@ class TestFeatureHashing:
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestInitialRows:
+    def test_row_vector_independent_of_batch_and_order(self):
+        rows = [7, 1_999_999, 0, 4096, 123_456]
+        together = initial_rows(5, rows, 12)
+        for i, row in enumerate(rows):
+            assert np.array_equal(initial_rows(5, [row], 12)[0], together[i])
+        assert np.array_equal(initial_rows(5, rows[::-1], 12), together[::-1])
+
+    def test_row_vector_independent_of_block(self):
+        many = initial_rows(5, np.arange(3 * model_module.INIT_BLOCK_ROWS + 17), 4)
+        for row in (0, model_module.INIT_BLOCK_ROWS, len(many) - 1):
+            assert np.array_equal(initial_rows(5, [row], 4)[0], many[row])
+
+    def test_changes_with_seed(self):
+        first = initial_rows(1, np.arange(50), 10)
+        assert not np.array_equal(first, initial_rows(2, np.arange(50), 10))
+        assert not np.array_equal(first, initial_rows(-1, np.arange(50), 10))
+        assert np.array_equal(first, initial_rows(1, np.arange(50), 10))
+
+    @pytest.mark.parametrize("dim", [1, 3, 10, 50, 300])
+    def test_values_in_range(self, dim):
+        values = initial_rows(42, np.arange(20_000 // dim + 1), dim)
+        assert values.dtype == np.float32
+        assert values.shape == (20_000 // dim + 1, dim)
+        bound = np.float32(1 / dim)
+        assert (values >= -bound).all() and (values < bound).all()
+        # uniform: both ends of the range are reached and the mean is near 0
+        assert values.min() < -0.9 * bound and values.max() > 0.9 * bound
+        assert abs(float(values.mean())) < 0.05 * bound
+
+    def test_empty_rows(self):
+        assert initial_rows(42, [], 8).shape == (0, 8)
+
+
 class TestGradients:
     def test_match_central_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -241,6 +287,61 @@ class TestTraining:
         assert np.isfinite(model.loss_history[-1])
 
 
+class TestSparseRows:
+    UNSEEN = [
+        "xylofoon quizwerk zebrapad",
+        "aaa onbekendewoordenvloed ccc",
+        "ding3 qwertyuiop asdfghjkl",
+        "ééé 😀 ß",
+    ]
+
+    def test_rows_are_the_training_features(self, trained):
+        indexer = FeatureIndexer(trained.vocab, FAST)
+        words = chain.from_iterable(tokenize(ex.text) for ex in two_class_examples())
+        expected = sorted({row for word in words for row in indexer.word_features(word)})
+        assert trained.rows.dtype == np.int64
+        assert trained.rows.tolist() == expected
+        assert trained.E.shape == (len(expected), FAST.dim)
+
+    def dense_reference(self, model, text):
+        hp = model.hyperparams
+        dense = initial_rows(hp.seed, np.arange(len(model.vocab) + hp.bucket), hp.dim)
+        dense[model.rows] = model.E
+        features = [row for word in tokenize(text) for row in model.indexer.word_features(word)]
+        urows, weights = model.indexer.compress(features)
+        z = model.W @ (weights @ dense[urows]) + model.b
+        return np.exp(log_softmax(z.astype(np.float64))), set(features)
+
+    def test_predict_matches_dense_table(self, trained):
+        stored = set(trained.rows.tolist())
+        for text in self.UNSEEN:
+            reference, features = self.dense_reference(trained, text)
+            assert features - stored, "the text should reach rows training never touched"
+            assert np.allclose(predict(trained, text)[1], reference, rtol=0, atol=1e-6)
+
+    def test_label_corpus_matches_dense_table(self, trained):
+        msgs = [make_message(text, i) for i, text in enumerate(self.UNSEEN * 30)]
+        for msg, label, probs in label_corpus(trained, msgs):
+            reference, _ = self.dense_reference(trained, msg.text)
+            assert np.allclose(probs, reference, rtol=0, atol=1e-6)
+            assert label == trained.labels[int(np.argmax(reference))]
+
+    def test_predict_cache_stays_bounded(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(train(two_class_examples(60), FAST), path)
+        cold = load_model(path)
+        texts = [f"woord{i} ander{i}" for i in range(200)]
+        expected = [predict(load_model(path), text)[1] for text in texts]
+        monkeypatch.setattr(model_module, "PREDICT_CACHE_WORDS", 50)
+        for text, probs in zip(texts, expected):
+            assert np.array_equal(predict(cold, text)[1], probs)
+            assert len(cold._word_cache) <= 50
+        msgs = [make_message(text, i) for i, text in enumerate(texts)]
+        for (_, _, probs), want in zip(label_corpus(cold, msgs), expected):
+            assert np.array_equal(probs, want)
+        assert len(cold._word_cache) <= 50
+
+
 class TestPredict:
     def test_returns_label_and_simplex(self, trained):
         label, probs = predict(trained, "aaa bbb nieuw")
@@ -295,9 +396,79 @@ class TestPersistence:
         save_model(trained, path)
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
-        assert header["format_version"] == 1
+        assert header["format_version"] == 2
         assert header["label_order"] == list(LABELS)
         assert header["vocab"] == trained.vocab
+
+    def test_file_size_follows_stored_rows(self, trained, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(trained, path)
+        header = path.read_bytes().partition(b"\n")[0]
+        k, dim = len(trained.rows), FAST.dim
+        assert json.loads(header)["rows"] == k
+        assert path.stat().st_size == len(header) + 1 + 8 * k + 4 * (k * dim + 3 * dim + 3)
+
+    def test_model_without_stored_rows_round_trips(self, tmp_path):
+        examples = [LabeledExample(text="???", label="supports"),
+                    LabeledExample(text="!!!", label="rejects")]
+        model = train(examples, FAST)
+        assert model.rows.size == 0 and model.E.shape == (0, FAST.dim)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.rows.size == 0
+        assert np.array_equal(predict(loaded, "aaa")[1], predict(model, "aaa")[1])
+
+    @staticmethod
+    def rewrite(path, header_edit=None, rows_edit=None):
+        head, _, rest = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        if header_edit:
+            header_edit(header)
+        k = header["rows"]
+        rows = np.frombuffer(rest[: 8 * k], dtype="<i8").copy()
+        if rows_edit:
+            rows_edit(rows)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rows.tobytes() + rest[8 * k :])
+
+    def test_rejects_format_1(self, trained, tmp_path):
+        path = tmp_path / "old.bin"
+        save_model(trained, path)
+        self.rewrite(path, header_edit=lambda h: h.update(format_version=1))
+        with pytest.raises(InputError, match=r"old\.bin: unsupported model format 1"):
+            load_model(path)
+
+    def test_rejects_unsorted_rows(self, trained, tmp_path):
+        path = tmp_path / "swapped.bin"
+        save_model(trained, path)
+
+        def swap(rows):
+            rows[[0, 1]] = rows[[1, 0]]
+        self.rewrite(path, rows_edit=swap)
+        with pytest.raises(InputError, match=r"swapped\.bin: model rows are not strictly increasing"):
+            load_model(path)
+
+    def test_rejects_repeated_row(self, trained, tmp_path):
+        path = tmp_path / "twice.bin"
+        save_model(trained, path)
+        self.rewrite(path, rows_edit=lambda rows: rows.__setitem__(1, rows[0]))
+        with pytest.raises(InputError, match=r"twice\.bin: model rows are not strictly"):
+            load_model(path)
+
+    def test_rejects_row_past_table(self, trained, tmp_path):
+        path = tmp_path / "edge.bin"
+        save_model(trained, path)
+        n_rows = len(trained.vocab) + FAST.bucket
+        self.rewrite(path, rows_edit=lambda rows: rows.__setitem__(-1, n_rows))
+        with pytest.raises(InputError, match=rf"edge\.bin: model rows outside \[0, {n_rows}\)"):
+            load_model(path)
+
+    def test_rejects_negative_row(self, trained, tmp_path):
+        path = tmp_path / "negative.bin"
+        save_model(trained, path)
+        self.rewrite(path, rows_edit=lambda rows: rows.__setitem__(0, -1))
+        with pytest.raises(InputError, match=r"negative\.bin: model rows outside \[0, "):
+            load_model(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="model file not found"):
@@ -307,6 +478,12 @@ class TestPersistence:
         path = tmp_path / "model.bin"
         path.write_bytes(b"niet json\n\x00\x00")
         with pytest.raises(InputError, match="malformed model header"):
+            load_model(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "list.bin"
+        path.write_bytes(b"[1, 2]\n")
+        with pytest.raises(InputError, match=r"list\.bin: malformed model header"):
             load_model(path)
 
     def test_unsupported_version(self, trained, tmp_path):
