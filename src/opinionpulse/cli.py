@@ -21,29 +21,17 @@ import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
-from . import __version__
+from . import __version__, stance
 from .corpus import dedup, filter_lang, ingest, message_to_record
 from .exceptions import InputError
 from .filterkit import builtin_query_path, expand_query, iter_partition, load_query
 from .polarity import (load_lexicon, read_scored_csv, score_stream, toy_lexicon_path,
                        write_scored_csv)
-from .stance import (
-    Hyperparams,
-    grid_hyperparams,
-    grid_search,
-    kappa,
-    label_corpus,
-    learning_curve,
-    load_model,
-    predict,
-    prepare_annotation_set,
-    read_labeled_tsv,
-    save_model,
-    train,
-)
+# numpy-free names only; the model and evaluation names are read as
+# stance.<name>, which imports numpy on first use (stance/__init__.py)
+from .stance import Hyperparams, grid_hyperparams, kappa, prepare_annotation_set, read_labeled_tsv
 from .stance.data import (probs_dict, read_label_column, read_labeled_jsonl,
                           write_annotation_template, write_labeled_jsonl)
-from .stance.evaluation import write_learning_curve_csv
 from .timeseries import (
     DEFAULT_TZ_OFFSET,
     FREQUENCY_BUCKETS,
@@ -344,9 +332,9 @@ def cmd_kappa(args) -> int:
 def cmd_train(args) -> int:
     hp = _hyperparams_from(args)
     examples = read_labeled_tsv(args.labels)
-    model = train(examples, hp)
+    model = stance.train(examples, hp)
     with _atomic_path(args.out) as tmp:
-        save_model(model, tmp)
+        stance.save_model(model, tmp)
     _log(args.log, event="train", examples=len(examples),
          final_loss=model.loss_history[-1], **hp.to_dict())
     return 0
@@ -365,7 +353,7 @@ def cmd_grid_search(args) -> int:
         raise UsageError(str(exc)) from None
 
     examples = read_labeled_tsv(args.labels)
-    result = grid_search(examples, grid, objective=args.objective, seed=args.seed)
+    result = stance.grid_search(examples, grid, objective=args.objective, seed=args.seed)
     _write_json(args.out, result.to_dict())
     _log(args.log, event="grid-search", configs=len(grid),
          objective=args.objective, best=result.best.to_dict())
@@ -375,7 +363,7 @@ def cmd_grid_search(args) -> int:
 def cmd_learning_curve(args) -> int:
     hp = _hyperparams_from(args)
     examples = read_labeled_tsv(args.labels)
-    points = learning_curve(
+    points = stance.learning_curve(
         examples, hp,
         train_sizes=args.sizes,
         repeats=args.repeats,
@@ -383,7 +371,7 @@ def cmd_learning_curve(args) -> int:
         test_size=args.test_size,
     )
     with _out_handle(args.out) as handle:
-        write_learning_curve_csv(points, handle)
+        stance.write_learning_curve_csv(points, handle)
     _log(args.log, event="learning-curve", sizes=args.sizes, repeats=args.repeats)
     return 0
 
@@ -391,17 +379,17 @@ def cmd_learning_curve(args) -> int:
 def cmd_predict(args) -> int:
     if args.infile and not args.out:
         raise UsageError("--in requires --out")
-    model = load_model(args.model)
+    model = stance.load_model(args.model)
 
     if args.text is not None:
-        label, probs = predict(model, args.text)
+        label, probs = stance.predict(model, args.text)
         print(json.dumps({"label": label, "probs": probs_dict(model.labels, probs)},
                          ensure_ascii=False, sort_keys=True))
         return 0
 
     stream = ingest(args.infile, fmt=args.format)
     with _atomic_text(args.out) as handle:
-        labeled = write_labeled_jsonl(label_corpus(model, stream), model.labels, handle)
+        labeled = write_labeled_jsonl(stance.label_corpus(model, stream), model.labels, handle)
     _log(args.log, event="predict", labeled=labeled, rejected_lines=stream.stats.rejected)
     return 0
 

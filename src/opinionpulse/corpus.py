@@ -24,6 +24,9 @@ PLATFORMS = ("twitter", "nunl", "reddit")
 
 _TSV_COLUMNS = ("id", "created_at", "text", "lang", "platform")
 
+# rejected lines an ingest pass warns about one by one; the rest get one summary line
+REJECT_WARNINGS = 20
+
 
 def parse_timestamp(value) -> datetime:
     """Parse an ISO-8601 string or integer epoch seconds into aware UTC.
@@ -159,9 +162,11 @@ def _message_from_tsv(line: str) -> Message:
 def ingest(path, fmt: str = "jsonl") -> MessageStream:
     """Stream Messages from a line-delimited file.
 
-    Malformed lines are logged with their line number and counted in
-    ``stats.rejected``; they never abort the stream. The returned stream
-    holds the file open until exhausted.
+    Malformed lines are counted in ``stats.rejected``; they never abort
+    the stream. The first ``REJECT_WARNINGS`` of them are logged with
+    their line number, and once the stream is exhausted one more warning
+    gives the number not shown and the total. The returned stream holds
+    the file open until exhausted.
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -183,10 +188,14 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
                     msg = parse(line)
                 except (ValueError, json.JSONDecodeError) as exc:
                     stats.reject()
-                    logger.warning("%s line %d rejected: %s", path.name, lineno, exc)
+                    if stats.rejected <= REJECT_WARNINGS:
+                        logger.warning("%s line %d rejected: %s", path.name, lineno, exc)
                     continue
                 stats.add(msg)
                 yield msg
+        if stats.rejected > REJECT_WARNINGS:
+            logger.warning("%s: %d more rejected lines not shown, %d rejected in total",
+                           path.name, stats.rejected - REJECT_WARNINGS, stats.rejected)
 
     return MessageStream(generate(), stats)
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import logging
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -45,11 +46,28 @@ def _is_emoji_term(term: str) -> bool:
 
 @dataclass(frozen=True)
 class PolarityLexicon:
-    """Immutable term->score and emoji->score maps, scores in [-1, 1]."""
+    """Immutable term->score and emoji->score maps, scores in [-1, 1].
+
+    The emoji are also indexed by their first code point, so ``score``
+    counts only those that can occur in a text. The index is built once,
+    here; the maps must not be changed after construction.
+    """
 
     name: str
     words: dict
     emoji: dict
+    # first code point -> [(lexicon index, emoji, score)], in lexicon order
+    _emoji_by_first: dict = field(init=False, compare=False, repr=False)
+    _emoji_firsts: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        by_first: dict = {}
+        for index, (symbol, value) in enumerate(self.emoji.items()):
+            if not symbol:
+                raise ValueError("empty emoji term")
+            by_first.setdefault(symbol[0], []).append((index, symbol, value))
+        object.__setattr__(self, "_emoji_by_first", by_first)
+        object.__setattr__(self, "_emoji_firsts", frozenset(by_first))
 
     @property
     def entry_count(self) -> int:
@@ -116,7 +134,9 @@ def score(lexicon: PolarityLexicon, text: str) -> PolarityScore:
     """Score one text: mean over word-token hits and emoji occurrences.
 
     Repeated tokens count once per occurrence. Bag-of-words: token order
-    never matters.
+    never matters. Each lexicon emoji counts every ``str.count``
+    occurrence, so one inside a longer emoji (👍 in 👍🏽) counts too;
+    only emoji whose first code point occurs in the text are counted.
     """
     total = 0.0
     hits = 0
@@ -125,7 +145,15 @@ def score(lexicon: PolarityLexicon, text: str) -> PolarityScore:
         if value is not None:
             total += value
             hits += 1
-    for symbol, value in lexicon.emoji.items():
+    firsts = lexicon._emoji_firsts.intersection(text)
+    if not firsts:
+        candidates = ()
+    elif len(firsts) == 1:
+        candidates = lexicon._emoji_by_first[next(iter(firsts))]
+    else:
+        # lexicon order, so the floats are summed as a full scan would
+        candidates = sorted(chain.from_iterable(lexicon._emoji_by_first[ch] for ch in firsts))
+    for _, symbol, value in candidates:
         occurrences = text.count(symbol)
         if occurrences:
             total += value * occurrences

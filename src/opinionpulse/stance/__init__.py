@@ -1,19 +1,44 @@
-"""Stance case-study engine: annotation, agreement, classifier, evaluation."""
+"""Stance case-study engine: annotation, agreement, classifier, evaluation.
+
+Annotation, agreement and the hyperparameters import eagerly. The
+classifier and its evaluation need numpy, so their names are resolved on
+first use by the module ``__getattr__`` below (PEP 562): commands that
+never train or predict do not pay numpy's import.
+"""
+
+from importlib import import_module
 
 from .agreement import AgreementReport, kappa
 from .data import LABELS, LabeledExample, prepare_annotation_set, read_labeled_tsv, write_labeled_tsv
-from .model import Hyperparams, StanceModel, grid_hyperparams, label_corpus, load_model, predict, save_model, train
-from .evaluation import (
-    CrossValidationResult,
-    EvaluationReport,
-    GridSearchResult,
-    LearningCurvePoint,
-    cross_validate,
-    evaluate,
-    grid_search,
-    learning_curve,
-    report_from_labels,
-)
+from .params import Hyperparams, grid_hyperparams
+
+# name -> submodule that defines it, imported on first access
+_LAZY = {
+    "StanceModel": "model",
+    "label_corpus": "model",
+    "load_model": "model",
+    "predict": "model",
+    "save_model": "model",
+    "train": "model",
+    "CrossValidationResult": "evaluation",
+    "EvaluationReport": "evaluation",
+    "GridSearchResult": "evaluation",
+    "LearningCurvePoint": "evaluation",
+    "cross_validate": "evaluation",
+    "evaluate": "evaluation",
+    "grid_search": "evaluation",
+    "learning_curve": "evaluation",
+    "report_from_labels": "evaluation",
+    "write_learning_curve_csv": "evaluation",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "AgreementReport",

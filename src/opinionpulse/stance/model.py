@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, product
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +27,8 @@ from ..corpus import Message
 from ..exceptions import InputError
 from ..tokenization import tokenize
 from .data import LABELS, LabeledExample
+# Hyperparams and the grid helpers live in params, which the CLI imports without numpy
+from .params import DIM_RANGE, EPOCHS_RANGE, LR_RANGE, Hyperparams, grid_hyperparams
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +41,6 @@ PREDICT_CACHE_WORDS = 1 << 15
 # messages label_corpus reads ahead and labels with one predict_batch call
 PREDICT_BATCH = 64
 
-DIM_RANGE = (10, 300)
-EPOCHS_RANGE = (10, 500)
-LR_RANGE = (0.05, 1.0)
-
 FNV_OFFSET = 0x811C9DC5
 FNV_PRIME = 0x01000193
 
@@ -50,71 +48,6 @@ UINT64_MASK = (1 << 64) - 1
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
 SPLITMIX_MUL2 = 0x94D049BB133111EB
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    dim: int = 10
-    epochs: int = 10
-    lr: float = 0.2
-    char_ngram_min: int = 3
-    char_ngram_max: int = 6
-    bucket: int = 2_000_000
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.char_ngram_min < 1:
-            raise ValueError("char_ngram_min must be positive")
-        if self.char_ngram_max < self.char_ngram_min:
-            raise ValueError("char_ngram_max must be >= char_ngram_min")
-        if self.bucket < 1:
-            raise ValueError("bucket must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "char_ngram_min": self.char_ngram_min,
-            "char_ngram_max": self.char_ngram_max,
-            "bucket": self.bucket,
-            "seed": self.seed,
-        }
-
-
-def grid_hyperparams(
-    dims: Sequence[int],
-    epochs_values: Sequence[int],
-    lrs: Sequence[float],
-    **common,
-) -> list[Hyperparams]:
-    """Cartesian product of the three tuned axes, dim varying slowest.
-
-    Values outside the supported ranges are rejected up front so a grid
-    search cannot silently explore configurations the trainer was never
-    validated on.
-    """
-    if not dims or not epochs_values or not lrs:
-        raise ValueError("each grid axis needs at least one value")
-    for dim in dims:
-        if not DIM_RANGE[0] <= dim <= DIM_RANGE[1]:
-            raise ValueError(f"dim {dim} outside {DIM_RANGE}")
-    for epochs in epochs_values:
-        if not EPOCHS_RANGE[0] <= epochs <= EPOCHS_RANGE[1]:
-            raise ValueError(f"epochs {epochs} outside {EPOCHS_RANGE}")
-    for lr in lrs:
-        if not LR_RANGE[0] <= lr <= LR_RANGE[1]:
-            raise ValueError(f"lr {lr} outside {LR_RANGE}")
-    return [
-        Hyperparams(dim=dim, epochs=epochs, lr=lr, **common)
-        for dim, epochs, lr in product(dims, epochs_values, lrs)
-    ]
 
 
 def fnv1a(data: bytes) -> int:
@@ -442,7 +375,12 @@ def load_model(path) -> StanceModel:
             raise InputError(f"{path.name}: unsupported model format {version!r}")
         try:
             hp = Hyperparams(**header["hyperparams"])
-            labels = tuple(header["label_order"])
+            order = header["label_order"]
+            if not (isinstance(order, list) and len(order) == len(LABELS)
+                    and all(label in order for label in LABELS)):
+                raise ValueError(f"label_order must list each of {list(LABELS)} once, "
+                                 f"got {order!r}")
+            labels = tuple(order)
             vocab = list(header["vocab"])
             k = int(header["rows"])
             if k < 0:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable
 
 _KEEP = frozenset("#@")
+# distinct raw tokens whose normalised form tokenize keeps (least recently used go first)
+NORMALIZE_CACHE_SIZE = 1 << 16
 
 
 def _strippable(ch: str) -> bool:
@@ -29,18 +32,20 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
+@lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+def _normalize(raw: str) -> str:
+    return _strip_punct(raw).lower()
+
+
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase tokens.
 
     ``str.split()`` handles Unicode whitespace; emoji are symbol
-    characters, not punctuation, so they are never stripped.
+    characters, not punctuation, so they are never stripped. The
+    normalised forms of the last ``NORMALIZE_CACHE_SIZE`` distinct raw
+    tokens are memoised, so a repeated word is stripped and lowercased once.
     """
-    tokens = []
-    for raw in text.split():
-        token = _strip_punct(raw).lower()
-        if token:
-            tokens.append(token)
-    return tokens
+    return [token for token in map(_normalize, text.split()) if token]
 
 
 def count_tokens(texts: Iterable[str]) -> Counter:

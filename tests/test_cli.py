@@ -170,6 +170,40 @@ class TestHelpAndVersion:
         assert result.stdout == f"opinionpulse {__version__}\n"
 
 
+class TestImportCost:
+    # runs in a fresh interpreter, because the test process has numpy loaded already
+    SCRIPT = (
+        "import json, sys\n"
+        "import opinionpulse.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import opinionpulse.cli'\n"
+        "free_runs, train_run = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
+        "for argv in free_runs:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert cli.main(train_run) == 0\n"
+        "assert 'numpy' in sys.modules, 'train'\n"
+        "from opinionpulse.stance import load_model, train\n"
+        "assert callable(load_model) and callable(train)\n"
+    )
+
+    def test_numpy_loaded_only_where_the_model_runs(self, valid_runs, tmp_path):
+        out = str(tmp_path / "out")
+        free_runs = [[command, *valid_runs(command, f"{out}.{command}")]
+                     for command in ("filter", "sentiment", "timeseries", "correlate",
+                                     "stance-series", "annotate-sample", "expand-query",
+                                     "kappa")]
+        free_runs.append(["timeseries", "--kind", "sentiment", "--in", f"{out}.sentiment",
+                          "--out", f"{out}.hourly", "--bucket", "hour"])
+        train_run = ["train", *valid_runs("train", f"{out}.train")]
+        src = str(Path(opinionpulse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(free_runs),
+                                 json.dumps(train_run)],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
         assert main([]) == 1

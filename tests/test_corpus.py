@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_messages, msg, write_corpus
 from opinionpulse.corpus import (
+    REJECT_WARNINGS,
     Message,
     dedup,
     filter_lang,
@@ -99,6 +100,28 @@ class TestIngest:
         assert len(msgs) == 997
         assert stream.stats.total == 997
         assert stream.stats.rejected == 3
+
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_rejected_line_warnings_capped(self, tmp_path, caplog, extra):
+        bad = REJECT_WARNINGS + extra
+        path = tmp_path / "c.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for i in range(bad):
+                handle.write("{broken\n")
+                handle.write(json.dumps({"id": str(i), "created_at": "2020-03-12T15:00:00Z",
+                                         "text": f"bericht {i}"}) + "\n")
+        with caplog.at_level(logging.WARNING, logger="opinionpulse.corpus"):
+            stream = ingest(path)
+            assert len(list(stream)) == bad
+        assert stream.stats.rejected == bad
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == REJECT_WARNINGS + (1 if extra else 0)
+        # bad lines are the odd ones; the last warned about is bad line N
+        assert messages[REJECT_WARNINGS - 1].startswith(
+            f"c.jsonl line {2 * REJECT_WARNINGS - 1} rejected: ")
+        if extra:
+            assert messages[-1] == (f"c.jsonl: {extra} more rejected lines not shown, "
+                                    f"{bad} rejected in total")
 
     def test_stats_totals_agree(self, tmp_path):
         path = tmp_path / "c.jsonl"

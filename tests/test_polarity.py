@@ -19,6 +19,7 @@ from opinionpulse.polarity import (
     toy_lexicon_path,
     write_scored_csv,
 )
+from opinionpulse.tokenization import tokenize
 
 TOY = load_lexicon(toy_lexicon_path())
 
@@ -131,6 +132,74 @@ class TestScore:
         result = score(TOY, symbol)
         assert result.hits >= 1
         assert result.value == pytest.approx(TOY.emoji[symbol], abs=1e-12)
+
+
+def full_scan_score(lexicon, text):
+    """The scorer without the emoji index: every lexicon emoji counted on every text."""
+    total = 0.0
+    hits = 0
+    for token in tokenize(text):
+        value = lexicon.words.get(token)
+        if value is not None:
+            total += value
+            hits += 1
+    for symbol, value in lexicon.emoji.items():
+        occurrences = text.count(symbol)
+        if occurrences:
+            total += value * occurrences
+            hits += occurrences
+    if hits == 0:
+        return PolarityScore(value=0.0, hits=0)
+    return PolarityScore(value=total / hits, hits=hits)
+
+
+# emoji that start with the same code point: a skin tone, a ZWJ family, a variation selector
+SHARED = PolarityLexicon(name="shared", words={"goed": 0.6}, emoji={
+    "👍🏽": 0.7, "👍": 0.5, "👨": 0.1, "👨\u200d👩\u200d👧": 0.9, "👩": 0.2,
+    "❤": 0.8, "❤️": 0.6, "😀": 0.3,
+})
+# code points the generated lexicons and texts are drawn from, so emoji share prefixes
+EMOJI_PARTS = "👍👨👩❤😀\U0001F3FD\u200d\ufe0f"
+
+
+class TestEmojiIndex:
+    def test_toy_lexicon_matches_full_scan(self):
+        rng = random.Random(11)
+        pieces = sorted(TOY.emoji) + list(TOY.words)[:10] + ["ruis", "x", "😀😀", "👍🏽"]
+        for _ in range(500):
+            text = "".join(rng.choice(pieces) + rng.choice(["", " "])
+                           for _ in range(rng.randint(0, 12)))
+            assert score(TOY, text) == full_scan_score(TOY, text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("👍🏽", PolarityScore(value=(0.7 + 0.5) / 2, hits=2)),
+        ("👨\u200d👩\u200d👧", PolarityScore(value=(0.1 + 0.9 + 0.2) / 3, hits=3)),
+        ("❤️❤", PolarityScore(value=(0.8 * 2 + 0.6) / 3, hits=3)),
+        ("goed 👍 😀", PolarityScore(value=(0.6 + 0.5 + 0.3) / 3, hits=3)),
+        ("geen emoji", PolarityScore(value=0.0, hits=0)),
+    ])
+    def test_shared_first_code_point_counts_overlaps(self, text, expected):
+        # an emoji inside a longer one counts too, as str.count finds it
+        assert score(SHARED, text) == expected
+        assert score(SHARED, text) == full_scan_score(SHARED, text)
+
+    @given(
+        st.dictionaries(st.text(alphabet=EMOJI_PARTS, min_size=1, max_size=4),
+                        st.floats(min_value=-1.0, max_value=1.0), max_size=12),
+        st.text(alphabet=EMOJI_PARTS + "ab ", max_size=30),
+    )
+    def test_generated_lexicons_match_full_scan(self, emoji, text):
+        lexicon = PolarityLexicon(name="gen", words={"a": 0.25}, emoji=emoji)
+        assert score(lexicon, text) == full_scan_score(lexicon, text)
+
+    def test_index_is_not_part_of_equality_or_repr(self):
+        one = PolarityLexicon(name="x", words={}, emoji={"😀": 0.3})
+        assert one == PolarityLexicon(name="x", words={}, emoji={"😀": 0.3})
+        assert repr(one) == "PolarityLexicon(name='x', words={}, emoji={'😀': 0.3})"
+
+    def test_empty_emoji_term_rejected(self):
+        with pytest.raises(ValueError, match="empty emoji term"):
+            PolarityLexicon(name="x", words={}, emoji={"": 0.3})
 
 
 class TestScoreStream:

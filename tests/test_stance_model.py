@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_separable
+from opinionpulse.cli import main as cli_main
 from opinionpulse.corpus import Message
 from opinionpulse.exceptions import InputError
 from opinionpulse.stance import Hyperparams, grid_hyperparams, load_model, predict, save_model, train
@@ -469,6 +470,27 @@ class TestPersistence:
         self.rewrite(path, rows_edit=lambda rows: rows.__setitem__(0, -1))
         with pytest.raises(InputError, match=r"negative\.bin: model rows outside \[0, "):
             load_model(path)
+
+    @pytest.mark.parametrize("order", [
+        "abc",
+        ["supports", "supports", "other"],
+        ["supports", "rejects", "maybe"],
+        ["supports", "rejects"],
+    ], ids=["string", "duplicate", "unknown", "missing"])
+    def test_rejects_bad_label_order(self, trained, tmp_path, capsys, order):
+        path = tmp_path / "labels.bin"
+        save_model(trained, path)
+        self.rewrite(path, header_edit=lambda h: h.update(label_order=order))
+        with pytest.raises(InputError, match=r"labels\.bin: bad model header: label_order"):
+            load_model(path)
+        assert cli_main(["predict", "--model", str(path), "--text", "goed"]) == 2
+        assert "labels.bin: bad model header: label_order" in capsys.readouterr().err
+
+    def test_accepts_permuted_label_order(self, trained, tmp_path):
+        path = tmp_path / "permuted.bin"
+        save_model(trained, path)
+        self.rewrite(path, header_edit=lambda h: h.update(label_order=list(reversed(LABELS))))
+        assert load_model(path).labels == tuple(reversed(LABELS))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="model file not found"):

@@ -5,7 +5,8 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opinionpulse.tokenization import count_tokens, tokenize
+from opinionpulse.tokenization import (NORMALIZE_CACHE_SIZE, _normalize, _strip_punct,
+                                       count_tokens, tokenize)
 
 
 def test_lowercases_and_splits_on_whitespace():
@@ -56,3 +57,29 @@ def test_tokenize_ignores_ascii_case(text):
 def test_idempotent_on_own_output(words):
     tokens = tokenize(" ".join(words))
     assert tokenize(" ".join(tokens)) == tokens
+
+
+def uncached_tokenize(text):
+    """The rule without the memo: strip edge punctuation, lowercase, drop empties."""
+    tokens = []
+    for raw in text.split():
+        token = _strip_punct(raw).lower()
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from("#@.,!?()'-…¿ \t"))))
+def test_memo_keeps_the_rule(text):
+    assert tokenize(text) == uncached_tokenize(text)
+    # a second pass is served from the memo
+    assert tokenize(text) == uncached_tokenize(text)
+
+
+def test_memo_stays_bounded():
+    words = [f"(Woord{i}!)" for i in range(NORMALIZE_CACHE_SIZE + 100)]
+    for start in range(0, len(words), 1000):
+        tokenize(" ".join(words[start:start + 1000]))
+    assert _normalize.cache_info().currsize <= NORMALIZE_CACHE_SIZE
+    # an evicted token is normalised again, the same way
+    assert tokenize(words[0]) == ["woord0"]
