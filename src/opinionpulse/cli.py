@@ -335,8 +335,8 @@ def cmd_train(args) -> int:
     model = stance.train(examples, hp)
     with _atomic_path(args.out) as tmp:
         stance.save_model(model, tmp)
-    _log(args.log, event="train", examples=len(examples),
-         final_loss=model.loss_history[-1], **hp.to_dict())
+    _log(args.log, event="train", examples=len(examples), epoch_losses=model.loss_history,
+         final_loss=model.loss_history[-1], model_rows=int(model.rows.size), **hp.to_dict())
     return 0
 
 

@@ -233,8 +233,9 @@ def grid_search(
 ) -> GridSearchResult:
     """Select hyperparameters on an 80/10/10 split of one shuffled order.
 
-    Every config trains on the same 80% and is scored on the 10%
-    validation slice; only the winner is evaluated on the final 10%.
+    Every config trains once on the same 80% and is scored on the 10%
+    validation slice; a config that leads so far is also scored on the
+    final 10%, and the winner's score there is reported.
     Ties go to the smaller dim, then fewer epochs, then smaller lr.
     """
     grid = list(grid)
@@ -253,32 +254,24 @@ def grid_search(
         raise InputError(f"{n} examples are too few for an 80/10/10 split")
 
     rows = []
-    best_key = None
-    best_hp = None
+    best = None  # (key, hyperparams, validation report, test report) of the leader
     for hp in grid:
-        # unnamed, so a config's model is freed before the next one trains
-        report = evaluate(train(train_set, hp), val_set)
+        model = train(train_set, hp)
+        report = evaluate(model, val_set)
         score = _objective_score(report, objective)
         rows.append(GridRow(hyperparams=hp, validation=report, score=score))
         key = (score, -hp.dim, -hp.epochs, -hp.lr)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_hp = hp
+        if best is None or key > best[0]:
+            # scored now, so only the winner's report outlives its model
+            best = (key, hp, report, evaluate(model, test_set))
+        del model  # freed before the next config trains
         logger.info(
             "grid config dim=%d epochs=%d lr=%g -> %s=%.4f",
             hp.dim, hp.epochs, hp.lr, objective, score,
         )
 
-    # Retraining the winner is bit-identical to the run scored above, so
-    # holding every candidate model in memory buys nothing.
-    best_model = train(train_set, best_hp)
-    best_row = next(row for row in rows if row.hyperparams == best_hp)
-    return GridSearchResult(
-        best=best_hp,
-        validation=best_row.validation,
-        test=evaluate(best_model, test_set),
-        table=tuple(rows),
-    )
+    _, best_hp, validation, test = best
+    return GridSearchResult(best=best_hp, validation=validation, test=test, table=tuple(rows))
 
 
 @dataclass(frozen=True)

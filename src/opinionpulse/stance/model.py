@@ -70,34 +70,58 @@ def char_ngrams(word: str, minn: int, maxn: int) -> list[str]:
     return grams
 
 
-class FeatureIndexer:
-    """Maps tokens to embedding rows: vocab ids first, hashed n-grams after."""
+def featurize(words: Sequence[str], word_ids: dict[str, int],
+              hp: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding rows of every word, flat, and how many of them belong to each word.
 
-    def __init__(self, vocab: Sequence[str], hp: Hyperparams):
-        self.vocab = list(vocab)
-        self.word_ids = {word: i for i, word in enumerate(self.vocab)}
-        self.hp = hp
+    A word's rows are its vocab id, if any, then ``len(word_ids) + fnv1a(gram) %
+    bucket`` for each ``char_ngrams`` gram. All n-grams are hashed together, one
+    numpy step per byte position; uint32 products wrap mod 2**32, as FNV-1a needs.
+    """
+    padded = "".join([f"<{word}>" for word in words])
+    points = np.frombuffer(padded.encode("utf-32-le"), dtype=np.uint32)
+    data = np.frombuffer(padded.encode("utf-8"), dtype=np.uint8)
+    # UTF-8 byte offset of every character, then of the end; 1 + (limits <= code point) bytes
+    offsets = np.zeros(points.size + 1, dtype=np.int64)
+    np.cumsum(np.searchsorted([0x80, 0x800, 0x10000], points, side="right") + 1, out=offsets[1:])
+    lengths = np.fromiter(map(len, words), np.int64, len(words)) + 2
+    word_end = np.repeat(np.cumsum(lengths), lengths)  # where each character's word ends
+    sizes = range(hp.char_ngram_min, hp.char_ngram_max + 1)
+    starts = [np.flatnonzero(np.arange(points.size) + n <= word_end) for n in sizes]
+    stops = np.concatenate([start + n for n, start in zip(sizes, starts)])
+    starts = np.concatenate(starts)
+    # (size, word, start) order to (word, size, start), the order of char_ngrams
+    order = np.argsort(word_end[starts], kind="stable")
+    first = offsets[starts[order]]
+    nbytes = offsets[stops[order]] - first
+    # longest first, so the n-grams with a byte left at step k are a prefix
+    by_len = np.argsort(-nbytes, kind="stable")
+    first = first[by_len]
+    live = np.searchsorted(-nbytes[by_len], -np.arange(nbytes.max(initial=0)), side="left")
+    hashes = np.full(first.size, FNV_OFFSET, dtype=np.uint32)
+    for k, n in enumerate(live):
+        hashes[:n] ^= data[first[:n] + k]
+        hashes[:n] *= np.uint32(FNV_PRIME)
+    grams = np.empty(first.size, dtype=np.int64)
+    grams[by_len] = hashes
+    gram_counts = sum(np.maximum(lengths - n + 1, 0) for n in sizes)
+    ids = np.fromiter((word_ids.get(word, -1) for word in words), np.int64, len(words))
+    has_id = ids >= 0
+    rows = np.insert(grams % hp.bucket + len(word_ids),
+                     (np.cumsum(gram_counts) - gram_counts)[has_id], ids[has_id])
+    return rows, gram_counts + has_id
 
-    def word_features(self, word: str) -> list[int]:
-        rows = []
-        word_id = self.word_ids.get(word)
-        if word_id is not None:
-            rows.append(word_id)
-        offset = len(self.vocab)
-        for gram in char_ngrams(word, self.hp.char_ngram_min, self.hp.char_ngram_max):
-            rows.append(offset + fnv1a(gram.encode("utf-8")) % self.hp.bucket)
-        return rows
 
-    def compress(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Unique rows plus per-row weights summing to 1.
+def compress(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows plus per-row weights summing to 1.
 
-        The embedded text is the feature mean; folding duplicates into
-        weights keeps SGD updates exact where fancy-indexed `-=` would
-        apply a repeated row only once.
-        """
-        urows, counts = np.unique(np.asarray(rows, dtype=np.int64), return_counts=True)
-        weights = counts / counts.sum()
-        return urows, weights
+    The embedded text is the feature mean; folding duplicates into
+    weights keeps SGD updates exact where fancy-indexed `-=` would
+    apply a repeated row only once.
+    """
+    urows, counts = np.unique(np.asarray(rows, dtype=np.int64), return_counts=True)
+    weights = counts / counts.sum()
+    return urows, weights
 
 
 @dataclass
@@ -112,13 +136,9 @@ class StanceModel:
     loss_history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        self._indexer = FeatureIndexer(self.vocab, self.hyperparams)
+        self.word_ids = {word: i for i, word in enumerate(self.vocab)}
         # word -> (sum of its feature vectors, feature count), for predict
         self._word_cache: dict[str, tuple[np.ndarray, int]] = {}
-
-    @property
-    def indexer(self) -> FeatureIndexer:
-        return self._indexer
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -181,8 +201,8 @@ def loss_and_grads(
     g = np.exp(logp)
     g[y] -= 1.0
     gh = W.T @ g
-    gE_rows = np.outer(weights, gh)
-    gW = np.outer(g, h)
+    gE_rows = weights[:, None] * gh  # np.outer without its ravel and copy overhead
+    gW = g[:, None] * h
     return loss, gE_rows, gW, g
 
 
@@ -200,21 +220,21 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     if len({ex.label for ex in examples}) < 2:
         raise InputError("degenerate training set: fewer than two distinct labels")
 
-    vocab: dict[str, None] = {}
+    vocab: dict[str, int] = {}  # word -> vocab id, in first-seen order
     tokenized = []
     for ex in examples:
         words = tokenize(ex.text)
         tokenized.append(words)
         for word in words:
-            vocab.setdefault(word, None)
-    indexer = FeatureIndexer(list(vocab), hp)
-    features = {word: indexer.word_features(word) for word in vocab}
+            vocab.setdefault(word, len(vocab))
+    rows, counts = featurize(list(vocab), vocab, hp)
+    features = dict(zip(vocab, np.split(rows, np.cumsum(counts)[:-1])))
 
     compressed = []
     label_ids = []
     for ex, words in zip(examples, tokenized):
-        rows = [row for word in words for row in features[word]]
-        compressed.append(indexer.compress(rows) if rows else None)
+        compressed.append(compress(np.concatenate([features[word] for word in words]))
+                          if words else None)
         label_ids.append(LABELS.index(ex.label))
 
     # global row ids -> local indices into the touched rows
@@ -262,9 +282,7 @@ def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarra
     Stored rows come from ``E``; any other row is its initial vector.
     """
     hp = model.hyperparams
-    features = [model.indexer.word_features(word) for word in words]
-    counts = [len(rows) for rows in features]
-    flat = np.fromiter(chain.from_iterable(features), dtype=np.int64, count=sum(counts))
+    flat, counts = featurize(words, model.word_ids, hp)
     vectors = initial_rows(hp.seed, flat, hp.dim)
     if model.rows.size:
         at = np.searchsorted(model.rows, flat)
@@ -273,11 +291,11 @@ def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarra
     sums = np.zeros((len(words), hp.dim))
     # reduceat needs a non-empty segment per start; a word shorter than
     # char_ngram_min and outside the vocabulary has no features
-    nonempty = [i for i, count in enumerate(counts) if count]
-    if nonempty:
+    nonempty = np.flatnonzero(counts)
+    if nonempty.size:
         starts = np.cumsum(counts) - counts
         sums[nonempty] = np.add.reduceat(vectors, starts[nonempty], axis=0, dtype=np.float64)
-    return list(zip(sums, counts))
+    return list(zip(sums, counts.tolist()))
 
 
 def _word_sums(model: StanceModel, words: list[str]) -> dict[str, tuple[np.ndarray, int]]:
@@ -382,6 +400,8 @@ def load_model(path) -> StanceModel:
                                  f"got {order!r}")
             labels = tuple(order)
             vocab = list(header["vocab"])
+            if len(set(vocab)) != len(vocab):  # n-gram rows start at len(vocab)
+                raise ValueError("vocab repeats a word")
             k = int(header["rows"])
             if k < 0:
                 raise ValueError(f"negative row count {k}")

@@ -15,6 +15,8 @@ from typing import Iterable
 _KEEP = frozenset("#@")
 # distinct raw tokens whose normalised form tokenize keeps (least recently used go first)
 NORMALIZE_CACHE_SIZE = 1 << 16
+# longer raw tokens (URLs, blobs) skip the memo, so its memory is bounded in characters too
+NORMALIZE_CACHE_MAX_LEN = 32
 
 
 def _strippable(ch: str) -> bool:
@@ -43,9 +45,12 @@ def tokenize(text: str) -> list[str]:
     ``str.split()`` handles Unicode whitespace; emoji are symbol
     characters, not punctuation, so they are never stripped. The
     normalised forms of the last ``NORMALIZE_CACHE_SIZE`` distinct raw
-    tokens are memoised, so a repeated word is stripped and lowercased once.
+    tokens of at most ``NORMALIZE_CACHE_MAX_LEN`` characters are memoised,
+    so a repeated word is stripped and lowercased once.
     """
-    return [token for token in map(_normalize, text.split()) if token]
+    return [token for raw in text.split()
+            if (token := _normalize(raw) if len(raw) <= NORMALIZE_CACHE_MAX_LEN
+                else _strip_punct(raw).lower())]
 
 
 def count_tokens(texts: Iterable[str]) -> Counter:

@@ -852,6 +852,18 @@ class TestRunLog:
         assert events[-1]["event"] == command
         assert events[-1]["rejected_lines"] == 1
 
+    def test_train_record_has_epoch_losses_and_model_rows(self, labels_file, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        argv = ["train", "--labels", str(labels_file), "--out", str(model), "--log"]
+        assert main(_with_flag(argv + FAST_MODEL_FLAGS, "--epochs", "12")) == 0
+        record = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+                  if line.strip()][-1]
+        assert record["event"] == "train"
+        assert len(record["epoch_losses"]) == record["epochs"] == 12
+        assert record["epoch_losses"][-1] == record["final_loss"]
+        header = json.loads(model.read_bytes().split(b"\n", 1)[0])
+        assert record["model_rows"] == header["rows"] > 0
+
 
 def _logger_state():
     package = logging.getLogger("opinionpulse")

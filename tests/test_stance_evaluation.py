@@ -20,7 +20,9 @@ from opinionpulse.stance import (
     report_from_labels,
     train,
 )
+from opinionpulse.stance import evaluation
 from opinionpulse.stance.data import LABELS, LabeledExample
+from opinionpulse.stance.evaluation import GridRow, GridSearchResult
 
 FAST = Hyperparams(dim=16, epochs=25, lr=0.3, bucket=2000, seed=42)
 
@@ -246,6 +248,26 @@ class TestCrossValidate:
 
 
 STARVED = Hyperparams(dim=10, epochs=1, lr=0.05, bucket=2000, seed=42)
+MIDDLE = Hyperparams(dim=12, epochs=3, lr=0.1, bucket=2000, seed=42)
+
+
+def retrain_reference(examples, grid, objective, seed):
+    """Grid search that scores each config, then retrains the winner for the test slice."""
+    n = len(examples)
+    shuffled = [examples[i] for i in np.random.default_rng(seed).permutation(n)]
+    i1, i2 = round(0.8 * n), round(0.9 * n)
+    train_set, val_set, test_set = shuffled[:i1], shuffled[i1:i2], shuffled[i2:]
+    rows, best = [], None
+    for hp in grid:
+        report = evaluate(train(train_set, hp), val_set)
+        score = evaluation._objective_score(report, objective)
+        rows.append(GridRow(hyperparams=hp, validation=report, score=score))
+        key = (score, -hp.dim, -hp.epochs, -hp.lr)
+        if best is None or key > best[0]:
+            best = (key, hp, report)
+    _, best_hp, validation = best
+    return GridSearchResult(best=best_hp, validation=validation,
+                            test=evaluate(train(train_set, best_hp), test_set), table=tuple(rows))
 
 
 class TestGridSearch:
@@ -281,6 +303,25 @@ class TestGridSearch:
         examples = make_separable(200, seed=2)
         result = grid_search(examples, [STARVED, FAST], seed=42)
         assert [row.hyperparams for row in result.table] == [STARVED, FAST]
+
+    def test_trains_each_config_once(self, monkeypatch):
+        calls = []
+
+        def counting_train(examples, hp=None):
+            calls.append(hp)
+            return train(examples, hp)
+
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        grid_search(make_separable(200, seed=2), [STARVED, MIDDLE, FAST], seed=42)
+        assert calls == [STARVED, MIDDLE, FAST]
+
+    @pytest.mark.parametrize("objective", ["accuracy", "fraction_score"])
+    @pytest.mark.parametrize("grid", [[FAST, STARVED], [STARVED, MIDDLE, FAST], [MIDDLE, FAST]])
+    def test_equals_retraining_the_winner(self, objective, grid):
+        examples = make_separable(200, seed=2)
+        result = grid_search(examples, grid, objective=objective, seed=42)
+        assert result == retrain_reference(examples, grid, objective, seed=42)
+        assert result.best == FAST
 
     def test_empty_grid(self):
         with pytest.raises(InputError, match="empty hyperparameter grid"):

@@ -17,8 +17,9 @@ from opinionpulse.stance import Hyperparams, grid_hyperparams, load_model, predi
 from opinionpulse.stance.data import LABELS, LabeledExample
 from opinionpulse.stance import model as model_module
 from opinionpulse.stance.model import (
-    FeatureIndexer,
     char_ngrams,
+    compress,
+    featurize,
     fnv1a,
     initial_rows,
     label_corpus,
@@ -29,6 +30,12 @@ from opinionpulse.stance.model import (
 from opinionpulse.tokenization import tokenize
 
 FAST = Hyperparams(dim=10, epochs=20, lr=0.2, bucket=1000, seed=42)
+
+
+def word_rows(words, vocab, hp):
+    """featurize's rows of each word, as lists of ints."""
+    rows, counts = featurize(words, {word: i for i, word in enumerate(vocab)}, hp)
+    return [part.tolist() for part in np.split(rows, np.cumsum(counts)[:-1])] if words else []
 
 
 def make_message(text, i):
@@ -133,24 +140,51 @@ class TestFeatureHashing:
     def test_char_ngrams_word_shorter_than_min(self):
         assert char_ngrams("a", 4, 6) == []
 
-    def test_indexer_vocab_rows_come_first(self):
+    # 1-, 2-, 3- and 4-byte UTF-8 characters, and a skin-tone modifier
+    BYTE_WIDTHS = "ax<>é\u07ff中\uffff😀👍🏽\U0010ffff"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(st.text(alphabet=BYTE_WIDTHS, max_size=12), max_size=12, unique=True),
+        in_vocab=st.lists(st.booleans(), min_size=12, max_size=12),
+        minn=st.integers(min_value=1, max_value=5),
+        extra=st.integers(min_value=0, max_value=5),
+        bucket=st.sampled_from([1, 7, 1000, 2_000_000, 2**32 - 1, 2**33]),
+    )
+    def test_featurize_equals_scalar_hash(self, words, in_vocab, minn, extra, bucket):
+        hp = Hyperparams(char_ngram_min=minn, char_ngram_max=minn + extra, bucket=bucket)
+        vocab = ["<anker>"] + [word for word, keep in zip(words, in_vocab) if keep]
+        ids = {word: i for i, word in enumerate(vocab)}
+        expected = [
+            ([ids[word]] if word in ids else [])
+            + [len(vocab) + fnv1a(g.encode("utf-8")) % bucket
+               for g in char_ngrams(word, minn, minn + extra)]
+            for word in words
+        ]
+        assert word_rows(words, vocab, hp) == expected
+
+    def test_featurize_long_and_short_words(self):
+        hp = Hyperparams(char_ngram_min=4, char_ngram_max=9, bucket=2_000_000)
+        words = ["x" * 40, "a", "", "é😀", "anderhalvemetersamenleving"]
+        expected = [[3 + fnv1a(g.encode("utf-8")) % hp.bucket for g in char_ngrams(w, 4, 9)]
+                    for w in words]
+        assert word_rows(words, ["aap", "noot", "mies"], hp) == expected
+        assert featurize([], {}, hp)[0].size == 0
+
+    def test_featurize_vocab_rows_come_first(self):
         hp = Hyperparams(bucket=100)
-        indexer = FeatureIndexer(["aap", "noot"], hp)
-        rows = indexer.word_features("noot")
+        rows = word_rows(["noot"], ["aap", "noot"], hp)[0]
         assert rows[0] == 1
         assert all(2 <= r < 2 + 100 for r in rows[1:])
 
-    def test_indexer_out_of_vocab_word_still_hashes(self):
+    def test_featurize_out_of_vocab_word_still_hashes(self):
         hp = Hyperparams(bucket=100)
-        indexer = FeatureIndexer(["aap"], hp)
-        rows = indexer.word_features("mies")
+        rows = word_rows(["mies"], ["aap"], hp)[0]
         assert rows
         assert all(1 <= r < 1 + 100 for r in rows)
 
     def test_compress_folds_duplicates_into_weights(self):
-        hp = Hyperparams(bucket=100)
-        indexer = FeatureIndexer([], hp)
-        urows, weights = indexer.compress([5, 5, 7])
+        urows, weights = compress([5, 5, 7])
         assert urows.tolist() == [5, 7]
         assert weights.tolist() == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -297,9 +331,8 @@ class TestSparseRows:
     ]
 
     def test_rows_are_the_training_features(self, trained):
-        indexer = FeatureIndexer(trained.vocab, FAST)
-        words = chain.from_iterable(tokenize(ex.text) for ex in two_class_examples())
-        expected = sorted({row for word in words for row in indexer.word_features(word)})
+        words = list(chain.from_iterable(tokenize(ex.text) for ex in two_class_examples()))
+        expected = sorted({row for rows in word_rows(words, trained.vocab, FAST) for row in rows})
         assert trained.rows.dtype == np.int64
         assert trained.rows.tolist() == expected
         assert trained.E.shape == (len(expected), FAST.dim)
@@ -308,8 +341,8 @@ class TestSparseRows:
         hp = model.hyperparams
         dense = initial_rows(hp.seed, np.arange(len(model.vocab) + hp.bucket), hp.dim)
         dense[model.rows] = model.E
-        features = [row for word in tokenize(text) for row in model.indexer.word_features(word)]
-        urows, weights = model.indexer.compress(features)
+        features = [row for rows in word_rows(tokenize(text), model.vocab, hp) for row in rows]
+        urows, weights = compress(features)
         z = model.W @ (weights @ dense[urows]) + model.b
         return np.exp(log_softmax(z.astype(np.float64))), set(features)
 
@@ -485,6 +518,14 @@ class TestPersistence:
             load_model(path)
         assert cli_main(["predict", "--model", str(path), "--text", "goed"]) == 2
         assert "labels.bin: bad model header: label_order" in capsys.readouterr().err
+
+    def test_rejects_repeated_vocab_word(self, trained, tmp_path):
+        # the n-gram rows start at len(vocab), which a repeated word would shift
+        path = tmp_path / "vocab.bin"
+        save_model(trained, path)
+        self.rewrite(path, header_edit=lambda h: h["vocab"].__setitem__(1, h["vocab"][0]))
+        with pytest.raises(InputError, match=r"vocab\.bin: bad model header: vocab repeats a word"):
+            load_model(path)
 
     def test_accepts_permuted_label_order(self, trained, tmp_path):
         path = tmp_path / "permuted.bin"

@@ -5,8 +5,8 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opinionpulse.tokenization import (NORMALIZE_CACHE_SIZE, _normalize, _strip_punct,
-                                       count_tokens, tokenize)
+from opinionpulse.tokenization import (NORMALIZE_CACHE_MAX_LEN, NORMALIZE_CACHE_SIZE, _normalize,
+                                       _strip_punct, count_tokens, tokenize)
 
 
 def test_lowercases_and_splits_on_whitespace():
@@ -83,3 +83,24 @@ def test_memo_stays_bounded():
     assert _normalize.cache_info().currsize <= NORMALIZE_CACHE_SIZE
     # an evicted token is normalised again, the same way
     assert tokenize(words[0]) == ["woord0"]
+
+
+def test_long_tokens_skip_the_memo():
+    _normalize.cache_clear()
+    tokenize("kort")
+    pad = "x" * NORMALIZE_CACHE_MAX_LEN
+    words = [f"({pad}{i}!)" for i in range(NORMALIZE_CACHE_SIZE + 100)]
+    for start in range(0, len(words), 1000):
+        assert tokenize(" ".join(words[start:start + 1000])) == [
+            f"{pad}{i}" for i in range(start, min(start + 1000, len(words)))]
+    assert _normalize.cache_info().currsize == 1
+
+
+def test_memo_length_bound_keeps_the_rule():
+    for size in (NORMALIZE_CACHE_MAX_LEN - 1, NORMALIZE_CACHE_MAX_LEN,
+                 NORMALIZE_CACHE_MAX_LEN + 1):
+        for raw in ("«" + "É" * (size - 2) + "»", "#" + "Ä" * (size - 2) + ".", "." * size):
+            assert len(raw) == size
+            text = f"Goed {raw} zo"
+            assert tokenize(text) == uncached_tokenize(text)
+            assert tokenize(text) == uncached_tokenize(text)
