@@ -263,9 +263,9 @@ def cmd_sentiment(args) -> int:
     with _atomic_text(args.out) as handle:
         write_scored_csv(scored, handle)
     if args.summary:
-        _write_json(args.summary, scored.summary.to_dict())
-    _log(args.log, event="sentiment", lexicon=lexicon.name, scored=scored.summary.n,
-         nonzero=scored.summary.nonzero, rejected_lines=stream.stats.rejected)
+        _write_json(args.summary, scored.stats.to_dict())
+    _log(args.log, event="sentiment", lexicon=lexicon.name, scored=scored.stats.n,
+         nonzero=scored.stats.nonzero, rejected_lines=stream.stats.rejected)
     return 0
 
 
@@ -355,8 +355,8 @@ def cmd_grid_search(args) -> int:
     examples = read_labeled_tsv(args.labels)
     result = stance.grid_search(examples, grid, objective=args.objective, seed=args.seed)
     _write_json(args.out, result.to_dict())
-    _log(args.log, event="grid-search", configs=len(grid),
-         objective=args.objective, best=result.best.to_dict())
+    _log(args.log, event="grid-search", configs=len(grid), objective=args.objective,
+         best=result.best.to_dict(), workers=stance.worker_count(len(grid)))
     return 0
 
 
@@ -372,7 +372,8 @@ def cmd_learning_curve(args) -> int:
     )
     with _out_handle(args.out) as handle:
         stance.write_learning_curve_csv(points, handle)
-    _log(args.log, event="learning-curve", sizes=args.sizes, repeats=args.repeats)
+    _log(args.log, event="learning-curve", sizes=args.sizes, repeats=args.repeats,
+         workers=stance.worker_count(len(args.sizes) * args.repeats))
     return 0
 
 

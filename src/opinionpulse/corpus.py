@@ -110,17 +110,38 @@ class CorpusStats:
 
 
 class MessageStream:
-    """Iterator of Messages that exposes the stats gathered while consumed."""
+    """Iterator that exposes the stats gathered while it is consumed.
 
-    def __init__(self, iterator: Iterator[Message], stats: CorpusStats):
+    ``ingest`` streams Messages with ``CorpusStats``; ``polarity.score_stream``
+    streams (Message, PolarityScore) pairs with a ``ScoreSummary``.
+    """
+
+    def __init__(self, iterator: Iterator, stats):
         self._iterator = iterator
         self.stats = stats
+
+    @property
+    def summary(self):
+        """``stats``, under the name ``score_stream`` callers have used."""
+        return self.stats
 
     def __iter__(self):
         return self
 
-    def __next__(self) -> Message:
+    def __next__(self):
         return next(self._iterator)
+
+
+def _check_decoded(**fields: str) -> None:
+    """Reject a field that holds a surrogate code point, which no encoder writes."""
+    for name, value in fields.items():
+        if value.isascii():
+            continue
+        try:
+            value.encode("utf-8")  # fails on surrogates only, faster than a search
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} holds a surrogate code point "
+                             "(an undecodable byte or an unpaired \\u escape)") from None
 
 
 def _message_from_json(line: str) -> Message:
@@ -135,12 +156,16 @@ def _message_from_json(line: str) -> Message:
         raise ValueError(f"missing field {exc.args[0]}") from None
     if not isinstance(text, str):
         raise ValueError("text is not a string")
+    msg_id = str(msg_id)
+    lang = str(record.get("lang", "und"))
+    platform = str(record.get("platform", "twitter"))
+    _check_decoded(id=msg_id, text=text, lang=lang, platform=platform)
     return Message(
-        id=str(msg_id),
+        id=msg_id,
         timestamp=parse_timestamp(created),
         text=text,
-        lang=str(record.get("lang", "und")),
-        platform=str(record.get("platform", "twitter")),
+        lang=lang,
+        platform=platform,
         is_repost=bool(record.get("retweet", False)),
     )
 
@@ -150,6 +175,7 @@ def _message_from_tsv(line: str) -> Message:
     if len(parts) != len(_TSV_COLUMNS):
         raise ValueError(f"expected {len(_TSV_COLUMNS)} columns, got {len(parts)}")
     msg_id, created, text, lang, platform = parts
+    _check_decoded(id=msg_id, text=text, lang=lang, platform=platform)
     return Message(
         id=msg_id,
         timestamp=parse_timestamp(created),
@@ -165,8 +191,10 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
     Malformed lines are counted in ``stats.rejected``; they never abort
     the stream. The first ``REJECT_WARNINGS`` of them are logged with
     their line number, and once the stream is exhausted one more warning
-    gives the number not shown and the total. The returned stream holds
-    the file open until exhausted.
+    gives the number not shown and the total. A line whose ``id``,
+    ``text``, ``lang`` or ``platform`` holds a byte that is not UTF-8, or
+    a ``\\u`` escape of half a surrogate pair, is one of them. The
+    returned stream holds the file open until exhausted.
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -177,7 +205,8 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
     stats = CorpusStats()
 
     def generate():
-        with open(path, encoding="utf-8") as handle:
+        # undecodable bytes become surrogates, which reject only their own line
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n").rstrip("\r")
                 if not line:

@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Message, parse_timestamp
+from .corpus import Message, MessageStream, parse_timestamp
 from .exceptions import InputError
 from .tokenization import tokenize
 
@@ -205,22 +205,8 @@ class ScoreSummary:
         }
 
 
-class ScoredStream:
-    """Iterator of (Message, PolarityScore) with a live summary."""
-
-    def __init__(self, iterator: Iterator, summary: ScoreSummary):
-        self._iterator = iterator
-        self.summary = summary
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._iterator)
-
-
-def score_stream(lexicon: PolarityLexicon, msgs: Iterable[Message]) -> ScoredStream:
-    """Score messages one by one, keeping a running summary."""
+def score_stream(lexicon: PolarityLexicon, msgs: Iterable[Message]) -> MessageStream:
+    """Score messages one by one; the stream's ``stats`` is a running ScoreSummary."""
     summary = ScoreSummary()
 
     def generate():
@@ -229,7 +215,7 @@ def score_stream(lexicon: PolarityLexicon, msgs: Iterable[Message]) -> ScoredStr
             summary.add(polarity)
             yield msg, polarity
 
-    return ScoredStream(generate(), summary)
+    return MessageStream(generate(), summary)
 
 
 def write_scored_csv(scored: Iterable, handle) -> None:

@@ -29,6 +29,7 @@ _LAZY = {
     "grid_search": "evaluation",
     "learning_curve": "evaluation",
     "report_from_labels": "evaluation",
+    "worker_count": "evaluation",
     "write_learning_curve_csv": "evaluation",
 }
 
@@ -65,4 +66,5 @@ __all__ = [
     "grid_search",
     "learning_curve",
     "report_from_labels",
+    "worker_count",
 ]

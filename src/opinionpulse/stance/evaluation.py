@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +29,72 @@ from .model import Hyperparams, StanceModel, predict_batch, train, with_seed
 logger = logging.getLogger(__name__)
 
 OBJECTIVES = ("accuracy", "fraction_score")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(jobs: int) -> int:
+    """Processes that ``grid_search``, ``cross_validate`` and ``learning_curve`` use.
+
+    One forked worker per job, up to the usable CPUs. Only Linux counts as
+    having a safe ``fork``; elsewhere, and for a single job or CPU, the jobs
+    run in the calling process.
+    """
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(jobs, _usable_cpus()))
+
+
+def _captured(fn: Callable, job):
+    """Run ``fn(job)`` in a worker: (log records it emitted, result, exception)."""
+    records = []
+    capture = logging.Handler()
+    capture.emit = records.append
+    package = logging.getLogger("opinionpulse")
+    # the worker's records go back to the parent, never to the stderr it inherited
+    package.handlers[:] = [capture]
+    package.propagate = False
+    try:
+        result, error = fn(job), None
+    except Exception as exc:  # raised in the parent, after the job's records
+        result, error = None, exc
+    for record in records:
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+    return records, result, error
+
+
+def _map(fn: Callable, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, run by ``worker_count(len(jobs))`` processes.
+
+    ``fn`` is a module-level function and each job is pickled to its worker.
+    Workers are forked, so they start with this process's modules and
+    logging setup; each job's log records are handed to their loggers here,
+    in job order, and the first failing job's exception is raised here, so
+    the output and any error are those of an in-process run.
+    """
+    workers = worker_count(len(jobs))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    # a forked child flushes its copies of the std streams when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        results = []
+        for records, result, error in pool.map(partial(_captured, fn), jobs):
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -137,6 +208,11 @@ def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
     return float(np.mean(finite)), float(np.std(finite))
 
 
+def _train_and_evaluate(job) -> EvaluationReport:
+    train_set, hp, test = job
+    return evaluate(train(train_set, hp), test)
+
+
 def cross_validate(
     examples: Sequence[LabeledExample],
     hp: Hyperparams | None = None,
@@ -146,7 +222,8 @@ def cross_validate(
     """Seeded k-fold CV with contiguous folds over one shuffled order.
 
     Fold sizes differ by at most one; fold i trains with seed hp.seed+i
-    so repeated runs are reproducible end to end.
+    so repeated runs are reproducible end to end. Folds train in parallel
+    (see ``worker_count``).
     """
     hp = hp or Hyperparams()
     examples = list(examples)
@@ -159,15 +236,15 @@ def cross_validate(
     order = np.random.default_rng(seed).permutation(n)
     shuffled = [examples[i] for i in order]
     base, extra = divmod(n, folds)
-    reports = []
+    jobs = []
     start = 0
     for i in range(folds):
         size = base + (1 if i < extra else 0)
         test = shuffled[start : start + size]
         train_set = shuffled[:start] + shuffled[start + size :]
         start += size
-        model = train(train_set, with_seed(hp, hp.seed + i))
-        reports.append(evaluate(model, test))
+        jobs.append((train_set, with_seed(hp, hp.seed + i), test))
+    reports = _map(_train_and_evaluate, jobs)
 
     mean_acc, std_acc = _mean_std([rep.accuracy for rep in reports])
     mean_frac, std_frac = _mean_std([rep.fraction_score for rep in reports])
@@ -225,6 +302,23 @@ def _objective_score(report: EvaluationReport, objective: str) -> float:
     return _symmetric_fraction(report.fraction_score)
 
 
+def _grid_config(job) -> tuple[GridRow, EvaluationReport]:
+    """Train one config; its validation row and its report on the test slice.
+
+    Every config is scored on the test slice, so its model dies here and
+    only the winner's test report is kept by the caller.
+    """
+    train_set, val_set, test_set, hp, objective = job
+    model = train(train_set, hp)
+    report = evaluate(model, val_set)
+    score = _objective_score(report, objective)
+    logger.info(
+        "grid config dim=%d epochs=%d lr=%g -> %s=%.4f",
+        hp.dim, hp.epochs, hp.lr, objective, score,
+    )
+    return GridRow(hyperparams=hp, validation=report, score=score), evaluate(model, test_set)
+
+
 def grid_search(
     examples: Sequence[LabeledExample],
     grid: Sequence[Hyperparams],
@@ -234,9 +328,10 @@ def grid_search(
     """Select hyperparameters on an 80/10/10 split of one shuffled order.
 
     Every config trains once on the same 80% and is scored on the 10%
-    validation slice; a config that leads so far is also scored on the
-    final 10%, and the winner's score there is reported.
-    Ties go to the smaller dim, then fewer epochs, then smaller lr.
+    validation slice and on the final 10%; the winner's score there is
+    reported. Ties go to the smaller dim, then fewer epochs, then smaller
+    lr. Configs train in parallel (see ``worker_count``); the result is
+    that of a run in this process.
     """
     grid = list(grid)
     if not grid:
@@ -253,25 +348,19 @@ def grid_search(
     if not train_set or not val_set or not test_set:
         raise InputError(f"{n} examples are too few for an 80/10/10 split")
 
+    jobs = [(train_set, val_set, test_set, hp, objective) for hp in grid]
     rows = []
-    best = None  # (key, hyperparams, validation report, test report) of the leader
-    for hp in grid:
-        model = train(train_set, hp)
-        report = evaluate(model, val_set)
-        score = _objective_score(report, objective)
-        rows.append(GridRow(hyperparams=hp, validation=report, score=score))
-        key = (score, -hp.dim, -hp.epochs, -hp.lr)
+    best = None  # (key, validation row, test report) of the leader
+    for row, test in _map(_grid_config, jobs):
+        rows.append(row)
+        hp = row.hyperparams
+        key = (row.score, -hp.dim, -hp.epochs, -hp.lr)
         if best is None or key > best[0]:
-            # scored now, so only the winner's report outlives its model
-            best = (key, hp, report, evaluate(model, test_set))
-        del model  # freed before the next config trains
-        logger.info(
-            "grid config dim=%d epochs=%d lr=%g -> %s=%.4f",
-            hp.dim, hp.epochs, hp.lr, objective, score,
-        )
+            best = (key, row, test)
 
-    _, best_hp, validation, test = best
-    return GridSearchResult(best=best_hp, validation=validation, test=test, table=tuple(rows))
+    _, winner, test = best
+    return GridSearchResult(best=winner.hyperparams, validation=winner.validation, test=test,
+                            table=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -309,7 +398,8 @@ def learning_curve(
     One seeded shuffle fixes a held-out test tail shared by every size.
     Repeat r permutes the remaining pool with seed+1+r and trains on
     nested prefixes (each size extends the previous one) with model seed
-    hp.seed+r; reported values are means over repeats.
+    hp.seed+r; reported values are means over repeats. Every (repeat,
+    size) pair is one training job, run in parallel (see ``worker_count``).
     """
     hp = hp or Hyperparams()
     examples = list(examples)
@@ -335,14 +425,18 @@ def learning_curve(
     test_set = shuffled[n - test_size :]
     pool = shuffled[: n - test_size]
 
-    acc_sums = {size: 0.0 for size in sizes}
-    frac_values: dict[int, list[float]] = {size: [] for size in sizes}
+    jobs = []
     for r in range(repeats):
         rep_order = np.random.default_rng(seed + 1 + r).permutation(len(pool))
         rep_pool = [pool[i] for i in rep_order]
+        jobs.extend((rep_pool[:size], with_seed(hp, hp.seed + r), test_set) for size in sizes)
+    reports = iter(_map(_train_and_evaluate, jobs))
+
+    acc_sums = {size: 0.0 for size in sizes}
+    frac_values: dict[int, list[float]] = {size: [] for size in sizes}
+    for _ in range(repeats):
         for size in sizes:
-            model = train(rep_pool[:size], with_seed(hp, hp.seed + r))
-            report = evaluate(model, test_set)
+            report = next(reports)
             acc_sums[size] += report.accuracy
             if report.fraction_score is not None and math.isfinite(report.fraction_score):
                 frac_values[size].append(report.fraction_score)

@@ -26,6 +26,9 @@ def _strippable(ch: str) -> bool:
 
 
 def _strip_punct(token: str) -> str:
+    # no code point is both alphanumeric and punctuation, so most words end here
+    if token and token[0].isalnum() and token[-1].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and _strippable(token[start]):
         start += 1
@@ -54,8 +57,17 @@ def tokenize(text: str) -> list[str]:
 
 
 def count_tokens(texts: Iterable[str]) -> Counter:
-    """Aggregate token counts over many texts (order-independent)."""
-    counts: Counter = Counter()
+    """Aggregate token counts over many texts (order-independent).
+
+    The same counts as ``tokenize`` gives, but each distinct raw token is
+    normalised once, after all texts are split and counted, and the memo
+    of ``tokenize`` is left alone.
+    """
+    raw_counts: Counter = Counter()
     for text in texts:
-        counts.update(tokenize(text))
+        raw_counts.update(text.split())
+    counts: Counter = Counter()
+    for raw, n in raw_counts.items():
+        if token := _strip_punct(raw).lower():
+            counts[token] += n
     return counts

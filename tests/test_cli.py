@@ -16,7 +16,10 @@ from conftest import make_separable, msg, write_corpus, write_labels
 from opinionpulse import __version__
 from opinionpulse.cli import main
 from opinionpulse.corpus import ingest
+from opinionpulse.exceptions import InputError
 from opinionpulse.polarity import load_lexicon, score_stream, toy_lexicon_path
+from opinionpulse.stance import evaluation
+from opinionpulse.stance import train as stance_train
 from opinionpulse.stance.data import LABELS
 from opinionpulse.timeseries import sentiment_series, write_value_csv
 from opinionpulse.timeseries import DEFAULT_TZ
@@ -200,6 +203,26 @@ class TestImportCost:
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(free_runs),
                                  json.dumps(train_run)],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    def test_process_pool_loaded_only_by_evaluation_commands(self, valid_runs, tmp_path):
+        out = str(tmp_path / "out")
+        runs = [[command, *valid_runs(command, f"{out}.{command}")]
+                for command in ("filter", "sentiment", "timeseries", "correlate", "train",
+                                "predict", "stance-series")]
+        script = (
+            "import json, sys\n"
+            "import opinionpulse.cli as cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "pool = {'opinionpulse.stance.evaluation', 'concurrent.futures', 'multiprocessing'}\n"
+            "assert not pool & set(sys.modules), pool & set(sys.modules)\n"
+        )
+        src = str(Path(opinionpulse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                                 capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
 
@@ -715,6 +738,59 @@ class TestModelFlow:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestWorkers:
+    """Training commands give the same output with forked workers as in one process."""
+
+    GRID = ["--dims", "10,16", "--epochs", "10,25", "--lrs", "0.3", "--bucket", "2000"]
+
+    def run(self, monkeypatch, capsys, cpus, argv):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        capsys.readouterr()
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_grid_search_output_and_log_match(self, labels_file, tmp_path, monkeypatch, capsys):
+        runs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"grid{cpus}.json"
+            argv = ["grid-search", "--labels", str(labels_file), *self.GRID,
+                    "--out", str(out), "--log"]
+            code, err = self.run(monkeypatch, capsys, cpus, argv)
+            assert code == 0
+            runs.append((out.read_bytes(), err.splitlines()))
+        (report1, log1), (report2, log2) = runs
+        assert report1 == report2
+        assert log1[:-1] == log2[:-1]
+        assert sum('"grid config dim=' in line for line in log1) == 4
+        final1, final2 = json.loads(log1[-1]), json.loads(log2[-1])
+        assert (final1.pop("workers"), final2.pop("workers")) == (1, 2)
+        assert final1 == final2
+
+    def test_error_in_a_worker_exits_two(self, labels_file, tmp_path, monkeypatch, capsys):
+        def failing_train(examples, hp=None):
+            if hp.dim == 16:
+                raise InputError(f"cannot train dim={hp.dim}")
+            return stance_train(examples, hp)
+
+        monkeypatch.setattr(evaluation, "train", failing_train)
+        argv = ["grid-search", "--labels", str(labels_file), *self.GRID,
+                "--out", str(tmp_path / "grid.json"), "--log"]
+        one, two = (self.run(monkeypatch, capsys, cpus, argv) for cpus in (1, 2))
+        assert one == two
+        assert one[0] == 2
+        assert one[1].endswith("error: cannot train dim=16\n")
+        assert not (tmp_path / "grid.json").exists()
+
+    def test_learning_curve_log_names_workers(self, labels_file, tmp_path, monkeypatch,
+                                              capsys):
+        argv = ["learning-curve", "--labels", str(labels_file), "--sizes", "20,40",
+                "--test-size", "20", "--out", str(tmp_path / "lc.csv"), "--log",
+                *FAST_MODEL_FLAGS]
+        code, err = self.run(monkeypatch, capsys, 2, argv)
+        assert code == 0
+        assert json.loads(err.splitlines()[-1])["workers"] == 2
+
+
 class TestCorrelate:
     def write_series(self, path, rows):
         path.write_text("".join(f"{d},{v}\n" for d, v in rows), encoding="utf-8")
@@ -851,6 +927,33 @@ class TestRunLog:
                   if line.strip()]
         assert events[-1]["event"] == command
         assert events[-1]["rejected_lines"] == 1
+
+    @pytest.mark.parametrize("command", ["filter", "sentiment", "timeseries", "predict"])
+    def test_undecodable_lines_are_rejected(self, command, labels_file, tmp_path, capsys):
+        corpus, out, model = tmp_path / "c.jsonl", tmp_path / "out", tmp_path / "m.bin"
+        head = b'{"id":"%d","created_at":"2020-03-12T15:00:00Z","text":"hou 1,5 meter afstand '
+        # an unpaired \u escape, a byte that is not UTF-8, then a good line
+        corpus.write_bytes(head % 1 + b'\\ud83d"}\n' + head % 2 + b'\xff"}\n' + head % 3 + b'"}\n')
+        if command == "predict":
+            train_fast_model(labels_file, model)
+        argv = {
+            "filter": ["--builtin", "socialdistancing"],
+            "sentiment": ["--toy-lexicon"],
+            "timeseries": ["--kind", "frequency"],
+            "predict": ["--model", str(model)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv, "--in", str(corpus), "--out", str(out), "--log"]) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+                  if line.strip()]
+        assert events[-1]["rejected_lines"] == 2
+        lines = out.read_text(encoding="utf-8").splitlines()
+        if command == "timeseries":
+            assert [line.split(",")[1] for line in lines[1:]] == ["1"]
+        elif command == "sentiment":
+            assert [line.split(",")[0] for line in lines[1:]] == ["3"]
+        else:
+            assert [json.loads(line)["id"] for line in lines] == ["3"]
 
     def test_train_record_has_epoch_losses_and_model_rows(self, labels_file, tmp_path, capsys):
         model = tmp_path / "m.bin"

@@ -147,6 +147,30 @@ class TestIngest:
         assert len(msgs) == 1
         assert msgs[0].platform == "twitter"
 
+    @pytest.mark.parametrize("fmt, line, field", [
+        ("jsonl", b'{"id":"1","created_at":"2020-03-12T15:00:00Z","text":"half \\ud83d"}', "text"),
+        ("jsonl", b'{"id":"1","created_at":"2020-03-12T15:00:00Z","text":"byte \xff"}', "text"),
+        ("jsonl", b'{"id":"\\udc00","created_at":"2020-03-12T15:00:00Z","text":"x"}', "id"),
+        ("jsonl", b'{"id":"1","created_at":"2020-03-12T15:00:00Z","text":"x","lang":"n\xffl"}',
+         "lang"),
+        ("tsv", b"1\t2020-03-12T15:00:00Z\tbyte \xff\tnl\ttwitter", "text"),
+        ("tsv", b"1\t2020-03-12T15:00:00Z\tx\tnl\ttwit\xe9ter", "platform"),
+    ])
+    def test_surrogate_field_rejected_with_reason(self, fmt, line, field, tmp_path, caplog):
+        # a whole pair, escaped or as UTF-8 bytes, is one emoji
+        good = {"jsonl": b'{"id":"2","created_at":"2020-03-12T15:00:00Z","text":"pair \\ud83d\\ude00"}',
+                "tsv": b"2\t2020-03-12T15:00:00Z\tpair \xf0\x9f\x98\x80\tnl\ttwitter"}[fmt]
+        path = tmp_path / f"c.{fmt}"
+        path.write_bytes(line + b"\n" + good + b"\n")
+        with caplog.at_level(logging.WARNING, logger="opinionpulse.corpus"):
+            stream = ingest(path, fmt=fmt)
+            msgs = list(stream)
+        assert [m.text for m in msgs] == ["pair \U0001F600"]
+        assert stream.stats.rejected == 1
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"c.{fmt} line 1 rejected: {field} holds a surrogate code point "
+            "(an undecodable byte or an unpaired \\u escape)"]
+
     def test_unparseable_timestamp_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"1","created_at":"gisteren","text":"x"}\n', encoding="utf-8")

@@ -1,6 +1,7 @@
 """Metrics, cross-validation, grid search and learning curves."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -311,9 +312,28 @@ class TestGridSearch:
             calls.append(hp)
             return train(examples, hp)
 
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(evaluation, "train", counting_train)
         grid_search(make_separable(200, seed=2), [STARVED, MIDDLE, FAST], seed=42)
         assert calls == [STARVED, MIDDLE, FAST]
+
+    def test_trains_each_config_once_in_workers(self, monkeypatch, tmp_path):
+        # a forked worker's appends to a list stay in the worker; a file sees them all
+        calls = tmp_path / "calls.txt"
+
+        def counting_train(examples, hp=None):
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {hp.dim} {hp.epochs} {hp.lr}\n")
+            return train(examples, hp)
+
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "train", counting_train)
+        grid_search(make_separable(200, seed=2), [STARVED, MIDDLE, FAST], seed=42)
+        pids, configs = zip(*(line.split(" ", 1)
+                              for line in calls.read_text(encoding="utf-8").splitlines()))
+        assert sorted(configs) == sorted(f"{hp.dim} {hp.epochs} {hp.lr}"
+                                         for hp in [STARVED, MIDDLE, FAST])
+        assert str(os.getpid()) not in pids
 
     @pytest.mark.parametrize("objective", ["accuracy", "fraction_score"])
     @pytest.mark.parametrize("grid", [[FAST, STARVED], [STARVED, MIDDLE, FAST], [MIDDLE, FAST]])
@@ -402,3 +422,41 @@ class TestLearningCurve:
         examples = make_separable(100, seed=1)
         with pytest.raises(InputError, match="repeats must be at least 1"):
             learning_curve(examples, FAST, train_sizes=(50,), repeats=0)
+
+
+@pytest.fixture
+def in_both(monkeypatch):
+    """Call a function in this process, then with two forked workers; both results."""
+    def run(fn, *args, **kwargs):
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+            results.append(fn(*args, **kwargs))
+        return results
+    return run
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("objective", ["accuracy", "fraction_score"])
+    @pytest.mark.parametrize("grid", [[STARVED, MIDDLE, FAST], [FAST, STARVED]])
+    def test_grid_search_equals_in_process(self, in_both, objective, grid):
+        examples = make_separable(200, seed=2)
+        one, two = in_both(grid_search, examples, grid, objective=objective, seed=42)
+        assert one == two
+        assert two.best == FAST
+
+    def test_cross_validate_equals_in_process(self, in_both):
+        one, two = in_both(cross_validate, make_separable(60, seed=4, noise=0.2), FAST,
+                           folds=3, seed=7)
+        assert one == two
+
+    def test_learning_curve_equals_in_process(self, in_both):
+        one, two = in_both(learning_curve, make_separable(200, seed=3, noise=0.1), FAST,
+                           train_sizes=(40, 120), repeats=2, seed=9)
+        assert one == two
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        assert [evaluation.worker_count(jobs) for jobs in (0, 1, 2, 27)] == [1, 1, 2, 2]
+        monkeypatch.setattr(evaluation.sys, "platform", "darwin")
+        assert evaluation.worker_count(27) == 1

@@ -1,6 +1,9 @@
 """Tokenizer behavior shared by filtering, scoring and the classifier."""
 
+import sys
+import unicodedata
 from collections import Counter
+from itertools import chain
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,3 +107,18 @@ def test_memo_length_bound_keeps_the_rule():
             text = f"Goed {raw} zo"
             assert tokenize(text) == uncached_tokenize(text)
             assert tokenize(text) == uncached_tokenize(text)
+
+
+TOKEN_TEXT = st.text(alphabet=st.one_of(st.characters(), st.sampled_from("#@.,!?()'-…¿ \t😷👍🏽")))
+
+
+@given(st.lists(TOKEN_TEXT, max_size=8))
+def test_count_tokens_counts_what_tokenize_gives(texts):
+    assert count_tokens(texts) == Counter(chain.from_iterable(map(tokenize, texts)))
+
+
+def test_no_code_point_is_alphanumeric_and_punctuation():
+    # _strip_punct returns a token whose two ends are alphanumeric as it is
+    both = [cp for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
+    assert both == []
