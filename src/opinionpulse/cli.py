@@ -8,6 +8,12 @@ temp file and renamed, so a failing run never leaves partial files.
 Exit codes: 0 success, 1 usage error (a bad flag value, a missing input
 file or an output in a missing directory, rejected by the parser before
 any output is opened), 2 data error (a file exists but violates its format).
+
+Start-up is proportional to the command: the parser reads only
+``constants``, ``exceptions`` and ``stance.params``, and each command or
+flag type imports the modules it calls in its own body (``from . import
+corpus``), then calls through them (``corpus.ingest``). Model names are
+read as ``stance.<name>``, which loads numpy on first use.
 """
 
 from __future__ import annotations
@@ -21,34 +27,12 @@ import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
-from . import __version__, stance
-from .corpus import dedup, filter_lang, ingest, message_to_record
+from . import __version__
+from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, STANCE_BUCKETS, TOY_LEXICON
 from .exceptions import InputError
-from .filterkit import builtin_query_path, expand_query, iter_partition, load_query
-from .polarity import (load_lexicon, read_scored_csv, score_stream, toy_lexicon_path,
-                       write_scored_csv)
-# numpy-free names only; the model and evaluation names are read as
-# stance.<name>, which imports numpy on first use (stance/__init__.py)
-from .stance import Hyperparams, grid_hyperparams, kappa, prepare_annotation_set, read_labeled_tsv
-from .stance.data import (probs_dict, read_label_column, read_labeled_jsonl,
-                          write_annotation_template, write_labeled_jsonl)
-from .timeseries import (
-    DEFAULT_TZ_OFFSET,
-    FREQUENCY_BUCKETS,
-    STANCE_BUCKETS,
-    annotate_events,
-    correlate,
-    frequency_series,
-    load_events,
-    moving_average,
-    parse_tz_offset,
-    read_series_csv,
-    sentiment_series,
-    stance_series,
-    write_frequency_csv,
-    write_stance_csv,
-    write_value_csv,
-)
+# the one command function bound here, so a caller can replace cli.kappa
+from .stance.agreement import kappa
+from .stance.params import Hyperparams, grid_hyperparams
 
 logger = logging.getLogger(__name__)
 
@@ -188,8 +172,20 @@ _positive_int = _flag_type(int, "a positive integer", lambda n: n >= 1)
 _rate = _flag_type(float, "a rate in (0, 1]", lambda rate: 0 < rate <= 1)
 _lang = _flag_type(str, "a 2- or 3-letter language tag",
                    lambda tag: tag.isalpha() and 2 <= len(tag) <= 3)
-_tz = _flag_type(parse_tz_offset, "an offset such as +01:00")
-_builtin_query = _flag_type(builtin_query_path, "a shipped query name")
+
+
+def _parse_tz(text: str):
+    from . import timeseries
+    return timeseries.parse_tz_offset(text)
+
+
+def _builtin_query_path(name: str) -> Path:
+    from . import filterkit
+    return filterkit.builtin_query_path(name)
+
+
+_tz = _flag_type(_parse_tz, "an offset such as +01:00")
+_builtin_query = _flag_type(_builtin_query_path, "a shipped query name")
 _int_list = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
                        "a comma-separated list of integers", bool)
 _float_list = _flag_type(lambda text: [float(item) for item in text.split(",") if item.strip()],
@@ -198,15 +194,8 @@ _float_list = _flag_type(lambda text: [float(item) for item in text.split(",") i
 
 def _hyperparams_from(args) -> Hyperparams:
     try:
-        return Hyperparams(
-            dim=args.dim,
-            epochs=args.epochs,
-            lr=args.lr,
-            char_ngram_min=args.char_ngram_min,
-            char_ngram_max=args.char_ngram_max,
-            bucket=args.bucket,
-            seed=args.seed,
-        )
+        # each field has a flag of its own name, --dim to --seed
+        return Hyperparams(**{name: getattr(args, name) for name in Hyperparams().to_dict()})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -216,26 +205,27 @@ def _hyperparams_from(args) -> Hyperparams:
 
 
 def cmd_filter(args) -> int:
-    query = load_query(args.query or args.builtin)
-    stream = ingest(args.infile, fmt=args.format)
+    from . import corpus, filterkit
+    query = filterkit.load_query(args.query or args.builtin)
+    stream = corpus.ingest(args.infile, fmt=args.format)
     msgs = iter(stream)
     if args.lang:
-        msgs = filter_lang(msgs, args.lang)
+        msgs = corpus.filter_lang(msgs, args.lang)
     if args.drop_reposts:
         msgs = (m for m in msgs if not m.is_repost)
     if args.dedup != "none":
-        msgs = dedup(msgs, mode=args.dedup)
+        msgs = corpus.dedup(msgs, mode=args.dedup)
 
     matched = unmatched = 0
     with ExitStack() as stack:
         out = stack.enter_context(_atomic_text(args.out))
         rest = stack.enter_context(_atomic_text(args.unmatched_out)) if args.unmatched_out else None
-        for msg, hit in iter_partition(msgs, query):
+        for msg, hit in filterkit.iter_partition(msgs, query):
             matched += hit
             unmatched += not hit
             handle = out if hit else rest
             if handle is not None:
-                handle.write(json.dumps(message_to_record(msg), ensure_ascii=False) + "\n")
+                corpus.write_jsonl((msg,), handle)
 
     if args.stats:
         _write_json(args.stats, stream.stats.to_dict())
@@ -245,10 +235,11 @@ def cmd_filter(args) -> int:
 
 
 def cmd_expand_query(args) -> int:
-    query = load_query(args.query or args.builtin)
-    stream = ingest(args.infile, fmt=args.format)
-    report = expand_query(query, stream, rounds=args.rounds, top_k=args.top_k,
-                          min_count=args.min_count)
+    from . import corpus, filterkit
+    query = filterkit.load_query(args.query or args.builtin)
+    stream = corpus.ingest(args.infile, fmt=args.format)
+    report = filterkit.expand_query(query, stream, rounds=args.rounds, top_k=args.top_k,
+                                    min_count=args.min_count)
     _write_json(args.out, report.to_dict())
     _log(args.log, event="expand-query", query=query.name, rounds=args.rounds,
          rejected_lines=stream.stats.rejected)
@@ -256,12 +247,13 @@ def cmd_expand_query(args) -> int:
 
 
 def cmd_sentiment(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    stream = ingest(args.infile, fmt=args.format)
-    scored = score_stream(lexicon, stream)
+    from . import corpus, polarity
+    lexicon = polarity.load_lexicon(args.lexicon)
+    stream = corpus.ingest(args.infile, fmt=args.format)
+    scored = polarity.score_stream(lexicon, stream)
 
     with _atomic_text(args.out) as handle:
-        write_scored_csv(scored, handle)
+        polarity.write_scored_csv(scored, handle)
     if args.summary:
         _write_json(args.summary, scored.stats.to_dict())
     _log(args.log, event="sentiment", lexicon=lexicon.name, scored=scored.stats.n,
@@ -270,39 +262,43 @@ def cmd_sentiment(args) -> int:
 
 
 def cmd_timeseries(args) -> int:
+    from . import timeseries
     if args.events and not args.events_out:
         raise UsageError("--events requires --events-out")
     # read before --out is replaced, so a bad events file leaves it untouched
-    events = load_events(args.events) if args.events else None
+    events = timeseries.load_events(args.events) if args.events else None
 
     log_fields = {}
     if args.kind == "frequency":
-        stream = ingest(args.infile, fmt=args.format)
+        from . import corpus
+        stream = corpus.ingest(args.infile, fmt=args.format)
         msgs = iter(stream)
         if args.drop_reposts:
             msgs = (m for m in msgs if not m.is_repost)
-        points = frequency_series(msgs, bucket=args.bucket, tz=args.tz)
+        points = timeseries.frequency_series(msgs, bucket=args.bucket, tz=args.tz)
         log_fields["rejected_lines"] = stream.stats.rejected
     else:
-        pairs = read_scored_csv(args.infile)
+        from . import polarity
+        pairs = polarity.read_scored_csv(args.infile)
         if args.nonzero_only:
             pairs = ((ts, value) for ts, value in pairs if value != 0.0)
-        points = sentiment_series(pairs, bucket=args.bucket, tz=args.tz)
+        points = timeseries.sentiment_series(pairs, bucket=args.bucket, tz=args.tz)
 
     smoothed = args.ma is not None
     if smoothed:
-        points = moving_average(points, window=args.ma, centered=args.centered)
+        points = timeseries.moving_average(points, window=args.ma, centered=args.centered)
 
     with _atomic_text(args.out) as handle:
         # a smoothed count series has fractional values, so it switches
         # to the mean-style schema
         if args.kind == "frequency" and not smoothed:
-            write_frequency_csv(points, handle)
+            timeseries.write_frequency_csv(points, handle)
         else:
-            write_value_csv(points, handle)
+            timeseries.write_value_csv(points, handle)
 
     if events is not None:
-        _write_json(args.events_out, annotate_events(points, events, bucket=args.bucket).to_dict())
+        annotated = timeseries.annotate_events(points, events, bucket=args.bucket)
+        _write_json(args.events_out, annotated.to_dict())
 
     _log(args.log, event="timeseries", kind=args.kind, bucket=args.bucket,
          points=len(points), **log_fields)
@@ -310,18 +306,22 @@ def cmd_timeseries(args) -> int:
 
 
 def cmd_annotate_sample(args) -> int:
-    query = load_query(args.query or args.builtin)
-    stream = ingest(args.infile, fmt=args.format)
-    selected = prepare_annotation_set(stream, query, rate=args.rate, n=args.n, seed=args.seed)
+    from . import corpus, filterkit
+    from .stance import data
+    query = filterkit.load_query(args.query or args.builtin)
+    stream = corpus.ingest(args.infile, fmt=args.format)
+    selected = data.prepare_annotation_set(stream, query, rate=args.rate, n=args.n,
+                                           seed=args.seed)
     with _atomic_text(args.out) as handle:
-        count = write_annotation_template(selected, handle)
+        count = data.write_annotation_template(selected, handle)
     _log(args.log, event="annotate-sample", query=query.name, selected=count,
          rejected_lines=stream.stats.rejected)
     return 0
 
 
 def cmd_kappa(args) -> int:
-    report = kappa(read_label_column(args.a), read_label_column(args.b))
+    from .stance import data
+    report = kappa(data.read_label_column(args.a), data.read_label_column(args.b))
     print(f"kappa={report.kappa!r}")
     print(f"observed_agreement={report.observed_agreement!r}")
     print(f"expected_agreement={report.expected_agreement!r}")
@@ -330,8 +330,9 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import stance
     hp = _hyperparams_from(args)
-    examples = read_labeled_tsv(args.labels)
+    examples = stance.read_labeled_tsv(args.labels)
     model = stance.train(examples, hp)
     with _atomic_path(args.out) as tmp:
         stance.save_model(model, tmp)
@@ -341,18 +342,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    from . import stance
     try:
-        grid = grid_hyperparams(
-            args.dims, args.epochs, args.lrs,
-            char_ngram_min=args.char_ngram_min,
-            char_ngram_max=args.char_ngram_max,
-            bucket=args.bucket,
-            seed=args.seed,
-        )
+        grid = grid_hyperparams(args.dims, args.epochs, args.lrs, seed=args.seed,
+                                char_ngram_min=args.char_ngram_min,
+                                char_ngram_max=args.char_ngram_max, bucket=args.bucket)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    examples = read_labeled_tsv(args.labels)
+    examples = stance.read_labeled_tsv(args.labels)
     result = stance.grid_search(examples, grid, objective=args.objective, seed=args.seed)
     _write_json(args.out, result.to_dict())
     _log(args.log, event="grid-search", configs=len(grid), objective=args.objective,
@@ -361,15 +359,11 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_learning_curve(args) -> int:
+    from . import stance
     hp = _hyperparams_from(args)
-    examples = read_labeled_tsv(args.labels)
-    points = stance.learning_curve(
-        examples, hp,
-        train_sizes=args.sizes,
-        repeats=args.repeats,
-        seed=args.seed,
-        test_size=args.test_size,
-    )
+    examples = stance.read_labeled_tsv(args.labels)
+    points = stance.learning_curve(examples, hp, train_sizes=args.sizes, repeats=args.repeats,
+                                   seed=args.seed, test_size=args.test_size)
     with _out_handle(args.out) as handle:
         stance.write_learning_curve_csv(points, handle)
     _log(args.log, event="learning-curve", sizes=args.sizes, repeats=args.repeats,
@@ -378,33 +372,40 @@ def cmd_learning_curve(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import corpus, stance
+    from .stance import data
     if args.infile and not args.out:
         raise UsageError("--in requires --out")
     model = stance.load_model(args.model)
 
     if args.text is not None:
         label, probs = stance.predict(model, args.text)
-        print(json.dumps({"label": label, "probs": probs_dict(model.labels, probs)},
+        print(json.dumps({"label": label, "probs": data.probs_dict(model.labels, probs)},
                          ensure_ascii=False, sort_keys=True))
         return 0
 
-    stream = ingest(args.infile, fmt=args.format)
+    stream = corpus.ingest(args.infile, fmt=args.format)
     with _atomic_text(args.out) as handle:
-        labeled = write_labeled_jsonl(stance.label_corpus(model, stream), model.labels, handle)
+        labeled = data.write_labeled_jsonl(stance.label_corpus(model, stream), model.labels, handle)
     _log(args.log, event="predict", labeled=labeled, rejected_lines=stream.stats.rejected)
     return 0
 
 
 def cmd_stance_series(args) -> int:
-    series = stance_series(read_labeled_jsonl(args.infile), bucket=args.bucket, tz=args.tz)
+    from . import timeseries
+    from .stance import data
+    series = timeseries.stance_series(data.read_labeled_jsonl(args.infile), bucket=args.bucket,
+                                      tz=args.tz)
     with _atomic_text(args.out) as handle:
-        write_stance_csv(series, handle)
+        timeseries.write_stance_csv(series, handle)
     _log(args.log, event="stance-series", bucket=args.bucket, points=len(series))
     return 0
 
 
 def cmd_correlate(args) -> int:
-    r, n_overlap = correlate(read_series_csv(args.a), read_series_csv(args.b))
+    from . import timeseries
+    r, n_overlap = timeseries.correlate(timeseries.read_series_csv(args.a),
+                                        timeseries.read_series_csv(args.b))
     if args.out:
         _write_json(args.out, {"r": r, "n_overlap": n_overlap})
     print(f"r={r!r}")
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lexicon", type=_input_file, help="lexicon TSV (term<TAB>score)")
     group.add_argument("--toy-lexicon", dest="lexicon", action="store_const",
-                       const=toy_lexicon_path(), help="use the shipped toy lexicon")
+                       const=TOY_LEXICON, help="use the shipped toy lexicon")
     p.add_argument("--out", type=_output_file, required=True,
                    help="scored CSV (id,timestamp,value,hits)")
     p.add_argument("--summary", type=_output_file, help="optional summary JSON")
@@ -634,11 +635,8 @@ def main(argv=None) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            # library-level contract violations driven by file contents
+        except (InputError, ValueError) as exc:
+            # a ValueError is a library-level contract violation driven by file contents
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -31,22 +31,28 @@ REJECT_WARNINGS = 20
 def parse_timestamp(value) -> datetime:
     """Parse an ISO-8601 string or integer epoch seconds into aware UTC.
 
-    Naive ISO strings are taken as UTC; offsets are converted.
+    Naive ISO strings are taken as UTC; offsets are converted. A value
+    that no ``datetime`` can hold, such as an epoch of 20 digits, raises
+    ValueError like any other bad timestamp.
     """
     if isinstance(value, bool):
         raise ValueError(f"bad timestamp: {value!r}")
-    if isinstance(value, (int, float)):
-        return datetime.fromtimestamp(int(value), tz=timezone.utc)
-    if isinstance(value, str):
-        raw = value.strip()
-        if raw.isdigit() or (raw.startswith("-") and raw[1:].isdigit()):
-            return datetime.fromtimestamp(int(raw), tz=timezone.utc)
-        if raw.endswith(("Z", "z")):
-            raw = raw[:-1] + "+00:00"
-        parsed = datetime.fromisoformat(raw)
-        if parsed.tzinfo is None:
-            return parsed.replace(tzinfo=timezone.utc)
-        return parsed.astimezone(timezone.utc)
+    try:
+        if isinstance(value, (int, float)):
+            return datetime.fromtimestamp(int(value), tz=timezone.utc)
+        if isinstance(value, str):
+            raw = value.strip()
+            if raw.isdigit() or (raw.startswith("-") and raw[1:].isdigit()):
+                return datetime.fromtimestamp(int(raw), tz=timezone.utc)
+            if raw.endswith(("Z", "z")):
+                raw = raw[:-1] + "+00:00"
+            parsed = datetime.fromisoformat(raw)
+            if parsed.tzinfo is None:
+                return parsed.replace(tzinfo=timezone.utc)
+            return parsed.astimezone(timezone.utc)
+    except (OverflowError, OSError):
+        # past time_t or datetime's years 1-9999, or an infinite float
+        raise ValueError(f"bad timestamp: {value!r}") from None
     raise ValueError(f"bad timestamp: {value!r}")
 
 
@@ -241,12 +247,16 @@ def message_to_record(msg: Message) -> dict:
     }
 
 
+# the encoder json.dumps(record, ensure_ascii=False) would build for every record
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_jsonl(msgs: Iterable[Message], handle) -> int:
     """Write messages to an open text handle, one JSON object per line."""
+    encode = _RECORD_ENCODER.encode
     count = 0
     for msg in msgs:
-        handle.write(json.dumps(message_to_record(msg), ensure_ascii=False))
-        handle.write("\n")
+        handle.write(encode(message_to_record(msg)) + "\n")
         count += 1
     return count
 

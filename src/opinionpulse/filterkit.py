@@ -13,12 +13,12 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from .constants import DATA_DIR
 from .corpus import Message
-from .exceptions import InputError
+from .exceptions import InputError, utf8_input
 from .tokenization import count_tokens
 
 COMBINE_MODES = ("keywords_only", "regex_only", "keywords_or_regex")
@@ -90,7 +90,8 @@ def load_query(path) -> TopicQuery:
     """
     path = Path(path)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        with utf8_input(path):
+            record = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read query {path}: {exc}") from None
     keywords = record.get("keywords") or []
@@ -122,10 +123,10 @@ _BUILTIN_ALIASES = {
 def builtin_query_path(name: str) -> Path:
     """Filesystem path of a query shipped with the package (e.g. "table2")."""
     name = _BUILTIN_ALIASES.get(name, name)
-    resource = resources.files("opinionpulse").joinpath(f"data/{name}.json")
-    if not resource.is_file():
+    path = DATA_DIR / f"{name}.json"
+    if not path.is_file():
         raise InputError(f"no builtin query named {name!r}")
-    return Path(str(resource))
+    return path
 
 
 def load_builtin_query(name: str) -> TopicQuery:

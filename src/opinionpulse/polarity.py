@@ -14,13 +14,13 @@ import csv
 import logging
 import unicodedata
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .constants import TOY_LEXICON
 from .corpus import Message, MessageStream, parse_timestamp
-from .exceptions import InputError
+from .exceptions import InputError, utf8_input
 from .tokenization import tokenize
 
 logger = logging.getLogger("opinionpulse.polarity")
@@ -97,7 +97,7 @@ def load_lexicon(path) -> PolarityLexicon:
         raise InputError(f"lexicon file not found: {path}")
     words: dict = {}
     emoji: dict = {}
-    with open(path, encoding="utf-8") as handle:
+    with utf8_input(path), open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -127,7 +127,7 @@ def load_lexicon(path) -> PolarityLexicon:
 
 def toy_lexicon_path() -> Path:
     """The small lexicon shipped with the package (tests, demos)."""
-    return Path(str(resources.files("opinionpulse").joinpath("data/toy_lexicon_nl.tsv")))
+    return TOY_LEXICON
 
 
 def score(lexicon: PolarityLexicon, text: str) -> PolarityScore:
@@ -231,7 +231,7 @@ def read_scored_csv(path) -> Iterator:
     """Replay a scored CSV as (timestamp, value) pairs."""
     name = Path(path).name
     first = True
-    with open(path, encoding="utf-8", newline="") as handle:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not any(cell.strip() for cell in row):
                 continue

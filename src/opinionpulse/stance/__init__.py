@@ -1,19 +1,24 @@
 """Stance case-study engine: annotation, agreement, classifier, evaluation.
 
-Annotation, agreement and the hyperparameters import eagerly. The
-classifier and its evaluation need numpy, so their names are resolved on
-first use by the module ``__getattr__`` below (PEP 562): commands that
-never train or predict do not pay numpy's import.
+Every name is resolved on first use by the module ``__getattr__`` below
+(PEP 562), which imports the submodule that defines it. The classifier
+and its evaluation need numpy, so commands that never train or predict do
+not pay numpy's import; the label-file readers load ``corpus``.
 """
 
 from importlib import import_module
 
-from .agreement import AgreementReport, kappa
-from .data import LABELS, LabeledExample, prepare_annotation_set, read_labeled_tsv, write_labeled_tsv
-from .params import Hyperparams, grid_hyperparams
-
 # name -> submodule that defines it, imported on first access
 _LAZY = {
+    "AgreementReport": "agreement",
+    "kappa": "agreement",
+    "LABELS": "data",
+    "LabeledExample": "data",
+    "prepare_annotation_set": "data",
+    "read_labeled_tsv": "data",
+    "write_labeled_tsv": "data",
+    "Hyperparams": "params",
+    "grid_hyperparams": "params",
     "StanceModel": "model",
     "label_corpus": "model",
     "load_model": "model",

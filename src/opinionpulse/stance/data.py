@@ -10,13 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ..constants import LABELS
 from ..corpus import Message, dedup, message_to_record, parse_timestamp, sample
-from ..exceptions import InputError
-from ..filterkit import TopicQuery
+from ..exceptions import InputError, utf8_input
 
-LABELS = ("supports", "rejects", "other")
+if TYPE_CHECKING:  # an annotation only: kappa, train and predict need no filterkit
+    from ..filterkit import TopicQuery
+
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
@@ -38,7 +40,7 @@ def read_labeled_tsv(path) -> list[LabeledExample]:
     if not path.is_file():
         raise InputError(f"label file not found: {path}")
     examples = []
-    with open(path, encoding="utf-8") as handle:
+    with utf8_input(path), open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -68,7 +70,7 @@ def read_label_column(path) -> list[str]:
     if not path.is_file():
         raise InputError(f"label file not found: {path}")
     labels = []
-    with open(path, encoding="utf-8") as handle:
+    with utf8_input(path), open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -126,7 +128,7 @@ def write_labeled_jsonl(labeled: Iterable, labels: Sequence[str], handle) -> int
 def read_labeled_jsonl(path) -> Iterator:
     """Replay predict output as (timestamp, stance) pairs."""
     name = Path(path).name
-    with open(path, encoding="utf-8") as handle:
+    with utf8_input(path), open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

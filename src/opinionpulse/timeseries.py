@@ -18,16 +18,12 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .exceptions import InputError
-from .stance.data import LABELS
+from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, LABELS, STANCE_BUCKETS
+from .exceptions import InputError, utf8_input
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TZ_OFFSET = "+01:00"
 DEFAULT_TZ = timezone(timedelta(hours=1))
-
-FREQUENCY_BUCKETS = ("day", "hour")
-STANCE_BUCKETS = ("day", "week", "month")
 
 _OFFSET_RE = re.compile(r"^([+-])(\d{2}):?(\d{2})?$")
 
@@ -242,7 +238,8 @@ def load_events(path) -> list[Event]:
     if not path.is_file():
         raise InputError(f"events file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with utf8_input(path):
+            raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path.name}: malformed JSON: {exc}") from None
     if not isinstance(raw, list):
@@ -369,7 +366,7 @@ def read_series_csv(path) -> list[SeriesPoint]:
 
     columns = None
     points = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with utf8_input(path), open(path, encoding="utf-8", newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not any(cell.strip() for cell in row):
                 continue

@@ -99,6 +99,16 @@ OUTPUT_FILE_FLAGS = [
 ]
 
 
+# input-file flags whose file is read as UTF-8 text: a corpus rejects an
+# undecodable line instead, a model file is binary, and timeseries --in
+# is read as a scored CSV here (--kind sentiment)
+TEXT_FILE_FLAGS = [(command, flag) for command, flag in INPUT_FILE_FLAGS
+                   if flag not in ("--in", "--model")] + [("stance-series", "--in"),
+                                                          ("timeseries", "--in")]
+
+SCORED_CSV = "id,timestamp,value,hits\na,2020-03-11T10:00:00Z,0.5,1\nb,2020-03-12T10:00:00Z,0.25,1\n"
+
+
 def _with_flag(argv, flag, value):
     """``argv`` with ``flag`` set to ``value``, replaced or appended."""
     if flag not in argv:
@@ -227,6 +237,76 @@ class TestImportCost:
         assert result.returncode == 0, result.stderr
 
 
+class TestImportFootprint:
+    # fresh interpreters again: the test process has every module loaded
+    SCRIPT = (
+        "import json, sys\n"
+        "import opinionpulse.cli as cli\n"
+        "argv, forbidden = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
+        "cli.build_parser()\n"
+        "if argv:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(name for name in forbidden if 'opinionpulse.' + name in sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    LIBRARY = {"corpus", "tokenization", "filterkit", "polarity", "timeseries",
+               "stance.data", "stance.model", "stance.evaluation"}
+    NO_STANCE = {"stance.data", "stance.model", "stance.evaluation"}
+    # modules a command never calls, so must not load
+    FORBIDDEN = {
+        "filter": {"polarity", "timeseries", *NO_STANCE},
+        "expand-query": {"polarity", "timeseries", *NO_STANCE},
+        "sentiment": {"filterkit", "timeseries", *NO_STANCE},
+        "timeseries": {"tokenization", "filterkit", "polarity", *NO_STANCE},
+        "annotate-sample": {"polarity", "timeseries", "stance.model", "stance.evaluation"},
+        "kappa": {"tokenization", "filterkit", "polarity", "timeseries", "stance.model",
+                  "stance.evaluation"},
+        "train": {"filterkit", "polarity", "timeseries", "stance.evaluation"},
+        "grid-search": {"filterkit", "polarity", "timeseries"},
+        "learning-curve": {"filterkit", "polarity", "timeseries"},
+        "predict": {"filterkit", "polarity", "timeseries", "stance.evaluation"},
+        "stance-series": {"tokenization", "filterkit", "polarity", "stance.model",
+                          "stance.evaluation"},
+        "correlate": {"corpus", "tokenization", "filterkit", "polarity", *NO_STANCE},
+    }
+
+    def run(self, argv, forbidden):
+        src = str(Path(opinionpulse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argv),
+                                 json.dumps(sorted(forbidden))],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    def test_parser_loads_no_library_module(self):
+        self.run([], self.LIBRARY)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_command_loads_only_what_it_calls(self, command, valid_runs, tmp_path):
+        self.run([command, *valid_runs(command, str(tmp_path / "out"))], self.FORBIDDEN[command])
+
+    def test_sentiment_series_loads_no_filterkit_or_stance(self, tmp_path):
+        scored = tmp_path / "scored.csv"
+        scored.write_text(SCORED_CSV, encoding="utf-8")
+        argv = ["timeseries", "--kind", "sentiment", "--in", str(scored),
+                "--out", str(tmp_path / "out")]
+        self.run(argv, {"filterkit", *self.NO_STANCE})
+
+    @pytest.mark.parametrize("package", [opinionpulse, opinionpulse.stance],
+                             ids=["opinionpulse", "stance"])
+    def test_every_exported_name_resolves(self, package):
+        for name in package.__all__:
+            value = getattr(package, name)
+            if name != "__version__":
+                module = sys.modules[f"{package.__name__}.{package._LAZY[name]}"]
+                assert value is getattr(module, name)
+        with pytest.raises(AttributeError):
+            package.no_such_name
+        from opinionpulse import corpus, filterkit, polarity, stance, timeseries, tokenization
+        assert stance is opinionpulse.stance and callable(tokenization.tokenize)
+
+
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
@@ -299,6 +379,83 @@ class TestInputFileFlags:
         assert f"error: argument {flag}: expected an existing file, got '{missing}'" in err
         assert [p.read_text(encoding="utf-8") for p in outputs] == ["oude inhoud\n"] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.events"]
+
+
+    @pytest.mark.parametrize("command, flag", TEXT_FILE_FLAGS)
+    def test_file_not_utf8_exits_two_naming_file_and_line(self, command, flag, valid_runs,
+                                                          tmp_path, capsys):
+        out = tmp_path / "out"
+        outputs = [out, tmp_path / "out.events"]
+        for path in outputs:
+            path.write_text("oude inhoud\n", encoding="utf-8")
+        argv = valid_runs(command, str(out))
+        if (command, flag) == ("timeseries", "--in"):
+            source = tmp_path / "scored.csv"
+            source.write_text(SCORED_CSV, encoding="utf-8")
+            argv = _with_flag(argv, "--kind", "sentiment")
+        else:
+            source = Path(argv[argv.index(flag) + 1])
+        lines = source.read_bytes().splitlines(keepends=True)
+        lineno = min(2, len(lines))
+        line = lines[lineno - 1]
+        lines[lineno - 1] = line.rstrip(b"\n") + b"\xff" + line[len(line.rstrip(b"\n")):]
+        bad = tmp_path / f"bad{source.suffix}"
+        bad.write_bytes(b"".join(lines))
+        assert main([command, *_with_flag(argv, flag, str(bad))]) == 2
+        assert capsys.readouterr().err == f"error: {bad.name}: not UTF-8 (byte 0xff), line {lineno}\n"
+        assert [p.read_text(encoding="utf-8") for p in outputs] == ["oude inhoud\n"] * 2
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+class TestOutOfRangeTimestamps:
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    @pytest.mark.parametrize("command", [["filter", "--builtin", "pandemic"],
+                                         ["timeseries", "--kind", "frequency"]],
+                             ids=["filter", "timeseries"])
+    def test_corpus_line_is_rejected_and_counted(self, command, fmt, tmp_path, capsys):
+        path = tmp_path / f"c.{fmt}"
+        if fmt == "jsonl":
+            write_corpus(path, FIVE_MESSAGES)
+            bad = f'{{"id": "x", "created_at": {self.HUGE}, "text": "corona"}}\n'
+        else:
+            path.write_text("".join(f"{m.id}\t{m.timestamp:%Y-%m-%dT%H:%M:%SZ}\t{m.text}\tnl\t"
+                                    f"twitter\n" for m in FIVE_MESSAGES), encoding="utf-8")
+            bad = f"x\t{self.HUGE}\tcorona\tnl\ttwitter\n"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(bad)
+        argv = [*command, "--in", str(path), "--format", fmt, "--out", str(tmp_path / "out"),
+                "--log"]
+        assert main(argv) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        warnings = [e["message"] for e in events if e["event"] == "log"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"c.{fmt} line 6 rejected: bad timestamp: ")
+        assert events[-1]["rejected_lines"] == 1
+
+    def test_scored_csv_exits_two_naming_file_and_line(self, tmp_path, capsys):
+        scored = tmp_path / "scored.csv"
+        scored.write_text(SCORED_CSV + f"c,{self.HUGE},0.1,1\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        out.write_text("oude inhoud\n", encoding="utf-8")
+        argv = ["timeseries", "--kind", "sentiment", "--in", str(scored), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: scored.csv: bad timestamp: '{self.HUGE}', line 4\n")
+        assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+
+    @pytest.mark.parametrize("created", [HUGE, "1e400", f'"{HUGE}"'])
+    def test_labeled_jsonl_exits_two_naming_file_and_line(self, created, tmp_path, capsys):
+        labeled = tmp_path / "lab.jsonl"
+        labeled.write_text('{"created_at": "2020-03-11T10:00:00Z", "stance": "other"}\n'
+                           f'{{"created_at": {created}, "stance": "other"}}\n', encoding="utf-8")
+        out = tmp_path / "out.csv"
+        out.write_text("oude inhoud\n", encoding="utf-8")
+        assert main(["stance-series", "--in", str(labeled), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lab.jsonl: bad labeled record, line 2: bad timestamp: ")
+        assert out.read_text(encoding="utf-8") == "oude inhoud\n"
 
 
 class TestOutputFileFlags:

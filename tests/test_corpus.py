@@ -1,5 +1,6 @@
 """Ingest, dedup and sampling tests, including the streaming-memory check."""
 
+import io
 import json
 import logging
 import tracemalloc
@@ -43,6 +44,16 @@ class TestParseTimestamp:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_timestamp("twaalf maart")
+
+    @pytest.mark.parametrize("value", [
+        99999999999999999999, -99999999999999999999, 1e400, float("-inf"),
+        "99999999999999999999", "-99999999999999999999",
+        # in range as written, out of datetime's years 1-9999 once moved to UTC
+        "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+    ])
+    def test_value_no_datetime_holds_raises_value_error(self, value):
+        with pytest.raises(ValueError, match=r"^bad timestamp: "):
+            parse_timestamp(value)
 
 
 class TestMessage:
@@ -178,6 +189,28 @@ class TestIngest:
         assert list(stream) == []
         assert stream.stats.rejected == 1
 
+    @pytest.mark.parametrize("fmt, created", [
+        ("jsonl", "99999999999999999999"), ("jsonl", "1e400"),
+        ("jsonl", '"99999999999999999999"'), ("tsv", "99999999999999999999"),
+    ])
+    def test_out_of_range_timestamp_rejected(self, fmt, created, tmp_path, caplog):
+        good = msg("tweede", id="2")
+        path = tmp_path / f"c.{fmt}"
+        if fmt == "jsonl":
+            write_corpus(path, [good])
+            bad = f'{{"id": "1", "created_at": {created}, "text": "x"}}\n'
+        else:
+            path.write_text(f"2\t2020-03-12T15:00:00Z\ttweede\tnl\ttwitter\n",
+                            encoding="utf-8")
+            bad = f"1\t{created}\tx\tnl\ttwitter\n"
+        path.write_text(bad + path.read_text(encoding="utf-8"), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="opinionpulse.corpus"):
+            stream = ingest(path, fmt=fmt)
+            assert list(stream) == [good]
+        assert stream.stats.rejected == 1
+        [warning] = [rec.getMessage() for rec in caplog.records]
+        assert warning.startswith(f"c.{fmt} line 1 rejected: bad timestamp: ")
+
 
 class TestRoundTrip:
     def test_field_for_field(self, tmp_path):
@@ -209,6 +242,19 @@ class TestRoundTrip:
         from opinionpulse.corpus import _message_from_json
 
         assert _message_from_json(json.dumps(record, ensure_ascii=False)) == original
+
+    @settings(max_examples=50)
+    @given(
+        texts=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=5),
+        emoji=st.sampled_from(["", "\U0001F637", "\U0001F44D\U0001F3FD", "\u2764\ufe0f"]),
+    )
+    def test_write_jsonl_bytes_match_per_record_dumps(self, texts, emoji):
+        msgs = [msg(f"Eén {text} {emoji}", id=f"ïd{i}") for i, text in enumerate(texts)]
+        handle = io.StringIO()
+        assert write_jsonl(msgs, handle) == len(msgs)
+        expected = "".join(json.dumps(message_to_record(m), ensure_ascii=False) + "\n"
+                           for m in msgs)
+        assert handle.getvalue().encode("utf-8") == expected.encode("utf-8")
 
 
 class TestFilterLang:
