@@ -287,6 +287,8 @@ def cmd_timeseries(args) -> int:
     smoothed = args.ma is not None
     if smoothed:
         points = timeseries.moving_average(points, window=args.ma, centered=args.centered)
+    if events is not None:
+        annotated = timeseries.annotate_events(points, events, bucket=args.bucket)
 
     with _atomic_text(args.out) as handle:
         # a smoothed count series has fractional values, so it switches
@@ -295,9 +297,7 @@ def cmd_timeseries(args) -> int:
             timeseries.write_frequency_csv(points, handle)
         else:
             timeseries.write_value_csv(points, handle)
-
     if events is not None:
-        annotated = timeseries.annotate_events(points, events, bucket=args.bucket)
         _write_json(args.events_out, annotated.to_dict())
 
     _log(args.log, event="timeseries", kind=args.kind, bucket=args.bucket,

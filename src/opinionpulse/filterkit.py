@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 from .constants import DATA_DIR
 from .corpus import Message
 from .exceptions import InputError, utf8_input
-from .tokenization import count_tokens
+from .tokenization import normalize_counts
 
 COMBINE_MODES = ("keywords_only", "regex_only", "keywords_or_regex")
 
@@ -241,18 +242,20 @@ def expand_query(
 ) -> ExpansionReport:
     """Propose new query terms; a human decides what to add.
 
-    Splits the corpus with the query, ranks candidate tokens by t-score
-    and drops terms the query already contains. The query itself is never
-    mutated, so every one of the ``rounds`` reports the same candidates
-    until a human edits the query between runs; the corpus is read and
-    ranked once.
+    Streams the corpus once through the query, counting the raw tokens of
+    the matched and unmatched sides, ranks candidate tokens by t-score and
+    drops terms the query already contains. Memory follows the vocabulary,
+    not the corpus. The query itself is never mutated, so every one of the
+    ``rounds`` reports the same candidates until a human edits the query
+    between runs; the corpus is read and ranked once.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     known = set(query.keywords)
-    matched, unmatched = split_corpus(msgs, query)
-    matched_counts = count_tokens(m.text for m in matched)
-    unmatched_counts = count_tokens(m.text for m in unmatched)
+    raw_counts = (Counter(), Counter())  # unmatched, matched
+    for msg, hit in iter_partition(msgs, query):
+        raw_counts[hit].update(msg.text.split())
+    unmatched_counts, matched_counts = map(normalize_counts, raw_counts)
     # rank everything first so excluded terms still count in the totals
     ranked = tscore_rank(
         matched_counts, unmatched_counts,

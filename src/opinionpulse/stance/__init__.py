@@ -46,30 +46,4 @@ def __getattr__(name: str):
     return getattr(import_module(f".{module}", __name__), name)
 
 
-__all__ = [
-    "AgreementReport",
-    "kappa",
-    "LABELS",
-    "LabeledExample",
-    "prepare_annotation_set",
-    "read_labeled_tsv",
-    "write_labeled_tsv",
-    "Hyperparams",
-    "StanceModel",
-    "grid_hyperparams",
-    "label_corpus",
-    "load_model",
-    "predict",
-    "save_model",
-    "train",
-    "CrossValidationResult",
-    "EvaluationReport",
-    "GridSearchResult",
-    "LearningCurvePoint",
-    "cross_validate",
-    "evaluate",
-    "grid_search",
-    "learning_curve",
-    "report_from_labels",
-    "worker_count",
-]
+__all__ = [*_LAZY]

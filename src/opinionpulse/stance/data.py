@@ -113,14 +113,19 @@ def probs_dict(labels: Sequence[str], probs) -> dict:
     return {label: float(p) for label, p in zip(labels, probs)}
 
 
+# the encoder json.dumps(record, ensure_ascii=False, sort_keys=True) would build for every record
+_LABELED_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_labeled_jsonl(labeled: Iterable, labels: Sequence[str], handle) -> int:
     """Write (Message, label, probs) triples, one JSON record per line."""
+    encode = _LABELED_ENCODER.encode
     count = 0
     for msg, label, probs in labeled:
         record = message_to_record(msg)
         record["stance"] = label
         record["probs"] = probs_dict(labels, probs)
-        handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        handle.write(encode(record) + "\n")
         count += 1
     return count
 

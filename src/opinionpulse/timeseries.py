@@ -1,7 +1,8 @@
 """Temporal aggregation: frequency, sentiment and stance-rate series.
 
 Timestamps are stored UTC and bucketed after applying a fixed offset
-(default +01:00). Frequency series fill interior gaps with zero counts;
+(default +01:00). Frequency series fill interior gaps with zero counts,
+over at most ``MAX_FILLED_SPAN`` between the first and last bucket;
 mean-value series omit empty buckets because a mean of nothing is not
 meaningful. All series are sorted by bucket.
 """
@@ -24,6 +25,10 @@ from .exceptions import InputError, utf8_input
 logger = logging.getLogger(__name__)
 
 DEFAULT_TZ = timezone(timedelta(hours=1))
+
+# the widest span frequency_series fills, about 27 years (at most 240,000
+# hourly points); a wider one comes from a stray timestamp, not from a study
+MAX_FILLED_SPAN = timedelta(days=10_000)
 
 _OFFSET_RE = re.compile(r"^([+-])(\d{2}):?(\d{2})?$")
 
@@ -61,7 +66,10 @@ class StanceRates:
 
 
 def bucket_key(ts: datetime, bucket: str, tz: timezone):
-    local = ts.astimezone(tz)
+    try:
+        local = ts.astimezone(tz)
+    except OverflowError:
+        raise InputError(f"timestamp {ts.isoformat()} leaves the years 1-9999 in {tz}") from None
     if bucket == "day":
         return local.date()
     if bucket == "hour":
@@ -73,15 +81,17 @@ def bucket_key(ts: datetime, bucket: str, tz: timezone):
     raise InputError(f"unknown bucket {bucket!r}")
 
 
+_BUCKET_STEPS = {"day": timedelta(days=1), "hour": timedelta(hours=1), "week": timedelta(days=7)}
+
+
 def _next_bucket(key, bucket: str):
-    if bucket == "day":
-        return key + timedelta(days=1)
-    if bucket == "hour":
-        return key + timedelta(hours=1)
-    if bucket == "week":
-        return key + timedelta(days=7)
-    # month: jump to the first of the following month
-    return (key.replace(day=28) + timedelta(days=4)).replace(day=1)
+    try:
+        if bucket != "month":
+            return key + _BUCKET_STEPS[bucket]
+        # month: jump to the first of the following month
+        return (key.replace(day=28) + timedelta(days=4)).replace(day=1)
+    except OverflowError:
+        raise InputError(f"the {bucket} of {format_bucket(key)} ends after year 9999") from None
 
 
 def _timestamp_of(item) -> datetime:
@@ -111,9 +121,13 @@ def frequency_series(
         counts[key] = counts.get(key, 0) + 1
     if not counts:
         return []
-    points = []
     key, last = min(counts), max(counts)
-    while key <= last:
+    end = _next_bucket(last, bucket)
+    if _bucket_date(last) - _bucket_date(key) > MAX_FILLED_SPAN:
+        raise InputError(f"timestamps from {format_bucket(key)} to {format_bucket(last)} span "
+                         f"more than the {MAX_FILLED_SPAN.days} days a frequency series fills")
+    points = []
+    while key < end:
         n = counts.get(key, 0)
         points.append(SeriesPoint(bucket=key, value=float(n), n=n))
         key = _next_bucket(key, bucket)

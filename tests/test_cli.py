@@ -306,6 +306,14 @@ class TestImportFootprint:
         from opinionpulse import corpus, filterkit, polarity, stance, timeseries, tokenization
         assert stance is opinionpulse.stance and callable(tokenization.tokenize)
 
+    @pytest.mark.parametrize("package", ["opinionpulse", "opinionpulse.stance"])
+    def test_star_import_gives_every_lazy_name(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        module = sys.modules[package]
+        assert set(module._LAZY) <= namespace.keys()
+        assert all(namespace[name] is getattr(module, name) for name in module.__all__)
+
 
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
@@ -444,6 +452,55 @@ class TestOutOfRangeTimestamps:
         assert capsys.readouterr().err == (
             f"error: scored.csv: bad timestamp: '{self.HUGE}', line 4\n")
         assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+
+    @pytest.mark.parametrize("created, bucket, error", [
+        # moving to +01:00 leaves the year 9999
+        ("9999-12-31T23:30:00Z", "day",
+         "timestamp 9999-12-31T23:30:00+00:00 leaves the years 1-9999 in UTC+01:00"),
+        # the bucket is representable but the one after it is not
+        ("9999-12-31T10:00:00Z", "day",
+         "the day of 9999-12-31 ends after year 9999"),
+        ("9999-12-31T22:30:00Z", "hour",
+         "the hour of 9999-12-31T23:00:00+01:00 ends after year 9999"),
+    ], ids=["offset", "next-day", "next-hour"])
+    def test_year_9999_bucket_exits_two_naming_the_timestamp(self, created, bucket, error,
+                                                              tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [msg("corona", id="a", ts="2020-03-01T10:00:00Z"),
+                            msg("corona", id="b", ts=created)])
+        out = tmp_path / "out.csv"
+        out.write_text("oude inhoud\n", encoding="utf-8")
+        argv = ["timeseries", "--kind", "frequency", "--bucket", bucket, "--in", str(path),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+
+    def test_events_past_the_last_bucket_of_9999_leave_outputs_untouched(self, tmp_path, capsys):
+        scored = tmp_path / "scored.csv"
+        scored.write_text(SCORED_CSV + "c,9999-12-31T10:00:00Z,0.1,1\n", encoding="utf-8")
+        events = tmp_path / "events.json"
+        events.write_text('[{"date": "2020-03-11", "label": "persconferentie"}]', encoding="utf-8")
+        out = tmp_path / "out.csv"
+        out.write_text("oude inhoud\n", encoding="utf-8")
+        argv = ["timeseries", "--kind", "sentiment", "--in", str(scored), "--out", str(out),
+                "--events", str(events), "--events-out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the day of 9999-12-31 ends after year 9999\n"
+        assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_stray_year_exits_two_naming_both_ends(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [*FIVE_MESSAGES, msg("corona", id="x", ts="2999-03-01T10:00:00Z")])
+        out = tmp_path / "out.csv"
+        argv = ["timeseries", "--kind", "frequency", "--in", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        first = min(m.timestamp for m in FIVE_MESSAGES).astimezone(DEFAULT_TZ).date()
+        assert capsys.readouterr().err == (
+            f"error: timestamps from {first} to 2999-03-01 span more than the 10000 days "
+            "a frequency series fills\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("created", [HUGE, "1e400", f'"{HUGE}"'])
     def test_labeled_jsonl_exits_two_naming_file_and_line(self, created, tmp_path, capsys):

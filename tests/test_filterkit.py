@@ -1,6 +1,7 @@
 """Topic queries, corpus partitioning and t-score expansion."""
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from opinionpulse.filterkit import (
     tscore,
     tscore_rank,
 )
+from opinionpulse.tokenization import count_tokens
 
 PANDEMIC_KEYWORDS = {
     "corona", "covid", "huisarts", "mondkapje", "rivm",
@@ -270,6 +272,32 @@ def planted_meter_corpus():
     return matched_texts, unmatched_texts
 
 
+class ReadCounter:
+    """An iterable corpus that counts how often it is read."""
+
+    def __init__(self, msgs):
+        self.msgs, self.reads = msgs, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.msgs)
+
+
+# raw tokens that normalise to the same token, punctuation-only tokens and a
+# query term in several spellings
+EXPANSION_WORDS = ["afstand", "Afstand!", "(afstand)", "meter", "METER.", "Meter,", "1,5",
+                   "#blijfthuis", "@rivm", "--", "…", "goed", "GOED", "ΟΔΟΣ.", "οδος"]
+
+
+def list_based_candidates(query, msgs, top_k, min_count):
+    """Candidates counted from the two lists split_corpus gives."""
+    matched, unmatched = split_corpus(msgs, query)
+    matched_counts = count_tokens(m.text for m in matched)
+    ranked = tscore_rank(matched_counts, count_tokens(m.text for m in unmatched),
+                         min_count=min_count, top_k=max(top_k, len(matched_counts)))
+    return tuple(s for s in ranked if s.token not in query.keywords)[:top_k]
+
+
 class TestExpansion:
     def query(self):
         return TopicQuery(name="afstand", keywords=frozenset({"afstand"}))
@@ -292,8 +320,6 @@ class TestExpansion:
         report = expand_query(self.query(), self.corpus(), rounds=1, top_k=5, min_count=5)
         candidate = report.rounds[0].candidates[0]
         matched, unmatched = split_corpus(self.corpus(), self.query())
-        from opinionpulse.tokenization import count_tokens
-
         assert candidate.n_matched == sum(count_tokens(m.text for m in matched).values())
         assert candidate.n_unmatched == sum(count_tokens(m.text for m in unmatched).values())
 
@@ -301,20 +327,27 @@ class TestExpansion:
         report = expand_query(self.query(), self.corpus(), rounds=2, top_k=5, min_count=5)
         assert report.rounds[0] == report.rounds[1]
 
-    def test_corpus_ranked_once_for_all_rounds(self, monkeypatch):
-        import opinionpulse.filterkit as filterkit
-
-        calls = []
-
-        def counting_split(msgs, query):
-            calls.append(query)
-            return split_corpus(msgs, query)
-
-        monkeypatch.setattr(filterkit, "split_corpus", counting_split)
-        report = expand_query(self.query(), self.corpus(), rounds=3, top_k=5, min_count=5)
-        assert len(calls) == 1
+    def test_corpus_ranked_once_for_all_rounds(self):
+        corpus = ReadCounter(self.corpus())
+        report = expand_query(self.query(), corpus, rounds=3, top_k=5, min_count=5)
+        assert corpus.reads == 1
         assert len(report.rounds) == 3
         assert report.rounds[0] == report.rounds[1] == report.rounds[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(EXPANSION_WORDS), min_size=1, max_size=8)
+                          .map(" ".join), min_size=1, max_size=60),
+           top_k=st.integers(1, 8), min_count=st.integers(1, 4))
+    def test_report_matches_list_based_count(self, texts, top_k, min_count):
+        query, msgs = self.query(), make_messages(texts)
+        try:
+            expected = list_based_candidates(query, msgs, top_k, min_count)
+        except InputError as exc:
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                expand_query(query, msgs, top_k=top_k, min_count=min_count)
+            return
+        report = expand_query(query, iter(msgs), rounds=2, top_k=top_k, min_count=min_count)
+        assert report.rounds[0].candidates == report.rounds[1].candidates == expected
 
     def test_all_matched_tokens_already_known_yields_nothing(self):
         msgs = make_messages(["aap noot", "aap mies", "boom roos vis"])

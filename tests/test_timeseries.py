@@ -11,6 +11,7 @@ from conftest import msg
 from opinionpulse.exceptions import InputError
 from opinionpulse.timeseries import (
     DEFAULT_TZ,
+    MAX_FILLED_SPAN,
     Event,
     SeriesPoint,
     annotate_events,
@@ -133,6 +134,28 @@ class TestFrequencySeries:
 
     def test_empty_input(self):
         assert frequency_series([], bucket="day", tz=UTC) == []
+
+    @pytest.mark.parametrize("bucket", ["day", "hour"])
+    def test_filled_span_is_bounded(self, bucket):
+        start = datetime(2020, 3, 1, 10, tzinfo=UTC)
+        widest = [at(start.isoformat(), id="a"), at((start + MAX_FILLED_SPAN).isoformat(), id="b")]
+        points = frequency_series(widest, bucket=bucket, tz=UTC)
+        assert sum(p.n for p in points) == 2
+        assert len(points) == MAX_FILLED_SPAN.days * (24 if bucket == "hour" else 1) + 1
+        # one stray message a millennium out, among a month of 2020 data
+        msgs = [at(f"2020-03-{d:02d}T10:00:00Z", id=f"m{d}") for d in range(1, 31)]
+        msgs.append(at("2999-03-01T10:00:00Z", id="stray"))
+        with pytest.raises(InputError, match="timestamps from 2020-03-01.* to 2999-03-01"):
+            frequency_series(msgs, bucket=bucket, tz=UTC)
+
+    def test_last_bucket_of_year_9999(self):
+        with pytest.raises(InputError, match="day of 9999-12-31 ends after"):
+            frequency_series([at("9999-12-31T10:00:00Z")], bucket="day", tz=UTC)
+        with pytest.raises(InputError, match="timestamp 9999-12-31T23:30:00.* leaves the years"):
+            bucket_key(datetime(9999, 12, 31, 23, 30, tzinfo=UTC), "hour", DEFAULT_TZ)
+        last_day = [SeriesPoint(bucket=date(9999, 12, 31), value=0.5, n=1)]
+        with pytest.raises(InputError, match="day of 9999-12-31 ends after"):
+            annotate_events(last_day, [Event(date=date(2020, 3, 1), label="x")])
 
     def test_bad_bucket(self):
         with pytest.raises(InputError, match="frequency bucket"):

@@ -5,11 +5,10 @@ import unicodedata
 from collections import Counter
 from itertools import chain
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from opinionpulse.tokenization import (NORMALIZE_CACHE_MAX_LEN, NORMALIZE_CACHE_SIZE, _normalize,
-                                       _strip_punct, count_tokens, tokenize)
+from opinionpulse.tokenization import _LATIN1_PUNCT, _strippable, count_tokens, tokenize
 
 
 def test_lowercases_and_splits_on_whitespace():
@@ -62,51 +61,46 @@ def test_idempotent_on_own_output(words):
     assert tokenize(" ".join(tokens)) == tokens
 
 
-def uncached_tokenize(text):
-    """The rule without the memo: strip edge punctuation, lowercase, drop empties."""
+def strip_then_lower(text):
+    """The rule token by token, from unicodedata alone: strip edge punctuation
+    other than # and @, lowercase, drop empties."""
+    def punct(ch):
+        return ch not in "#@" and unicodedata.category(ch).startswith("P")
+
     tokens = []
     for raw in text.split():
-        token = _strip_punct(raw).lower()
-        if token:
+        start, end = 0, len(raw)
+        while start < end and punct(raw[start]):
+            start += 1
+        while end > start and punct(raw[end - 1]):
+            end -= 1
+        if token := raw[start:end].lower():
             tokens.append(token)
     return tokens
 
 
-@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from("#@.,!?()'-…¿ \t"))))
-def test_memo_keeps_the_rule(text):
-    assert tokenize(text) == uncached_tokenize(text)
-    # a second pass is served from the memo
-    assert tokenize(text) == uncached_tokenize(text)
+# characters where lowercasing the whole text first could differ: final and
+# medial sigma, a capital whose lowercase is two code points, a combining
+# mark, punctuation that is case-ignorable, and a Unicode space
+CASE_EDGES = "\u03a3\u03c3\u03c2\u0130\u0307\u2019\u00b7:\u3000"
 
 
-def test_memo_stays_bounded():
-    words = [f"(Woord{i}!)" for i in range(NORMALIZE_CACHE_SIZE + 100)]
-    for start in range(0, len(words), 1000):
-        tokenize(" ".join(words[start:start + 1000]))
-    assert _normalize.cache_info().currsize <= NORMALIZE_CACHE_SIZE
-    # an evicted token is normalised again, the same way
-    assert tokenize(words[0]) == ["woord0"]
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(CASE_EDGES),
+                                  st.sampled_from("#@.,!?()'-…¿«»“”、。 \tAaß"))))
+@example("ΟΔΟΣ. «ΟΔΟΣ» ΟΔΟΣ.ΟΔΟΣ .Σ Α’Σ’ Σ:Α ΑΣ\u3000Β")
+@example("İ. (İ) İstanbul: ·İ·")
+def test_tokenize_matches_strip_then_lower(text):
+    assert tokenize(text) == strip_then_lower(text)
 
 
-def test_long_tokens_skip_the_memo():
-    _normalize.cache_clear()
-    tokenize("kort")
-    pad = "x" * NORMALIZE_CACHE_MAX_LEN
-    words = [f"({pad}{i}!)" for i in range(NORMALIZE_CACHE_SIZE + 100)]
-    for start in range(0, len(words), 1000):
-        assert tokenize(" ".join(words[start:start + 1000])) == [
-            f"{pad}{i}" for i in range(start, min(start + 1000, len(words)))]
-    assert _normalize.cache_info().currsize == 1
-
-
-def test_memo_length_bound_keeps_the_rule():
-    for size in (NORMALIZE_CACHE_MAX_LEN - 1, NORMALIZE_CACHE_MAX_LEN,
-                 NORMALIZE_CACHE_MAX_LEN + 1):
-        for raw in ("«" + "É" * (size - 2) + "»", "#" + "Ä" * (size - 2) + ".", "." * size):
-            assert len(raw) == size
-            text = f"Goed {raw} zo"
-            assert tokenize(text) == uncached_tokenize(text)
-            assert tokenize(text) == uncached_tokenize(text)
+def test_lowercasing_first_keeps_the_rule_next_to_sigma():
+    # every code point that could be stripped, skipped as case-ignorable or
+    # split on, at a token edge next to a capital sigma
+    kinds = ("Cc", "Cf", "Lm", "Sk")
+    edges = [chr(cp) for cp in range(sys.maxunicode + 1)
+             if unicodedata.category(chr(cp))[0] in "PMZ" or unicodedata.category(chr(cp)) in kinds]
+    text = " ".join(f"ΑΣ{c} {c}ΣΑ Α{c}Σ{c} ΑΣ{c}{c}Α .Σ{c}" for c in edges)
+    assert tokenize(text) == strip_then_lower(text)
 
 
 TOKEN_TEXT = st.text(alphabet=st.one_of(st.characters(), st.sampled_from("#@.,!?()'-…¿ \t😷👍🏽")))
@@ -122,3 +116,7 @@ def test_no_code_point_is_alphanumeric_and_punctuation():
     both = [cp for cp in range(sys.maxunicode + 1)
             if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
     assert both == []
+
+
+def test_latin1_punctuation_is_what_strippable_accepts():
+    assert _LATIN1_PUNCT == "".join(ch for ch in map(chr, range(256)) if _strippable(ch))
