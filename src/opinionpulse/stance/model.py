@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -206,6 +207,28 @@ def loss_and_grads(
     return loss, gE_rows, gW, g
 
 
+def _sgd_step(E: np.ndarray, W: np.ndarray, b: np.ndarray, urows: np.ndarray,
+              wcol: np.ndarray, y: int, lr: float) -> float:
+    """One SGD update of ``E[urows]``, ``W`` and ``b`` in place; returns the example's loss.
+
+    The update is ``-lr`` times the gradients of ``loss_and_grads``, with the
+    weights as a ``(len(urows), 1)`` column, computed in ``E.dtype``. The
+    softmax over the labels and the loss are Python floats.
+    """
+    rows = E.take(urows, axis=0)
+    h = wcol.T @ rows  # (1, dim)
+    z = (W @ h[0] + b).tolist()
+    top = max(z)
+    exps = [math.exp(value - top) for value in z]
+    total = sum(exps)
+    g = np.array([lr * value / total for value in exps], dtype=E.dtype)  # lr * softmax
+    g[y] -= lr
+    E[urows] = rows - wcol * (g @ W)
+    W -= g[:, None] * h
+    b -= g
+    return math.log(total) - (z[y] - top)
+
+
 def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> StanceModel:
     """Train a classifier on labeled examples.
 
@@ -230,11 +253,15 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     rows, counts = featurize(list(vocab), vocab, hp)
     features = dict(zip(vocab, np.split(rows, np.cumsum(counts)[:-1])))
 
+    # per example: its unique feature rows and, as a float32 column, their weights
     compressed = []
     label_ids = []
     for ex, words in zip(examples, tokenized):
-        compressed.append(compress(np.concatenate([features[word] for word in words]))
-                          if words else None)
+        if words:
+            urows, weights = compress(np.concatenate([features[word] for word in words]))
+            compressed.append((urows, weights.astype(np.float32)[:, None]))
+        else:
+            compressed.append(None)
         label_ids.append(LABELS.index(ex.label))
 
     # global row ids -> local indices into the touched rows
@@ -255,18 +282,13 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     for _ in range(hp.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for idx in order:
+        for idx in order.tolist():
             lr = hp.lr * (1 - done / total_updates)
             done += 1
             pair = compressed[idx]
             if pair is None:
                 continue
-            urows, weights = pair
-            loss, gE_rows, gW, gb = loss_and_grads(E, W, b, urows, weights, label_ids[idx])
-            epoch_loss += float(loss)
-            E[urows] -= (lr * gE_rows).astype(np.float32)
-            W -= (lr * gW).astype(np.float32)
-            b -= (lr * gb).astype(np.float32)
+            epoch_loss += _sgd_step(E, W, b, pair[0], pair[1], label_ids[idx], lr)
         loss_history.append(epoch_loss / n)
 
     model = StanceModel(hyperparams=hp, vocab=list(vocab), rows=touched, E=E, W=W, b=b)
@@ -283,11 +305,14 @@ def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarra
     """
     hp = model.hyperparams
     flat, counts = featurize(words, model.word_ids, hp)
-    vectors = initial_rows(hp.seed, flat, hp.dim)
     if model.rows.size:
         at = np.searchsorted(model.rows, flat)
         stored = model.rows.take(at, mode="clip") == flat
-        vectors[stored] = model.E[at[stored]]
+        vectors = model.E.take(at, axis=0, mode="clip")
+        fresh = ~stored
+        vectors[fresh] = initial_rows(hp.seed, flat[fresh], hp.dim)
+    else:
+        vectors = initial_rows(hp.seed, flat, hp.dim)
     sums = np.zeros((len(words), hp.dim))
     # reduceat needs a non-empty segment per start; a word shorter than
     # char_ngram_min and outside the vocabulary has no features
@@ -317,17 +342,6 @@ def _word_sums(model: StanceModel, words: list[str]) -> dict[str, tuple[np.ndarr
     return found
 
 
-def _classify(model: StanceModel, sums: dict[str, tuple[np.ndarray, int]], words: list[str]):
-    count = sum(sums[word][1] for word in words)
-    if count:
-        h = np.sum([sums[word][0] for word in words], axis=0) / count
-        z = model.W @ h + model.b
-    else:
-        z = model.b
-    probs = np.exp(log_softmax(z.astype(np.float64)))
-    return model.labels[int(np.argmax(probs))], probs
-
-
 def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
     """Label a text; returns (label, per-class probabilities).
 
@@ -337,10 +351,31 @@ def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
 
 
 def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, np.ndarray]]:
-    """``predict`` for each text; the new words of all texts are resolved in one batch."""
+    """``predict`` for each text, classifying the batch as one matrix.
+
+    The new words of all texts are resolved together. Each text's logits (a
+    row-wise multiply-sum, not a matrix product) and softmax come from its own
+    row alone, so its probabilities do not depend on the rest of the batch.
+    """
     tokenized = [tokenize(text) for text in texts]
-    sums = _word_sums(model, list(chain.from_iterable(tokenized)))
-    return [_classify(model, sums, words) for words in tokenized]
+    words = list(chain.from_iterable(tokenized))
+    found = _word_sums(model, words)
+    logits = np.empty((len(texts), len(model.labels)))
+    logits[:] = model.b  # a text with no features keeps the bias scores
+    lengths = np.fromiter(map(len, tokenized), np.int64, len(tokenized))
+    # reduceat needs a non-empty segment per start: the texts with words
+    texts_with_words = np.flatnonzero(lengths)
+    if texts_with_words.size:
+        starts = (np.cumsum(lengths) - lengths)[texts_with_words]
+        sums = np.add.reduceat([found[word][0] for word in words], starts, axis=0)
+        counts = np.add.reduceat([found[word][1] for word in words], starts)
+        live = counts > 0
+        H = sums[live] / counts[live, None]
+        logits[texts_with_words[live]] = (H[:, None, :] * model.W).sum(axis=2) + model.b
+    # log_softmax of each row on its own, all rows in one step
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    return [(model.labels[i], row) for i, row in zip(probs.argmax(axis=1).tolist(), probs)]
 
 
 def label_corpus(

@@ -25,6 +25,7 @@ from opinionpulse.stance.model import (
     label_corpus,
     log_softmax,
     loss_and_grads,
+    predict_batch,
     with_seed,
 )
 from opinionpulse.tokenization import tokenize
@@ -270,6 +271,28 @@ class TestGradients:
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(gb, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_urows", [1, 4])
+    @pytest.mark.parametrize("y", range(len(LABELS)))
+    def test_sgd_step_matches_reference(self, n_urows, y):
+        rng = np.random.default_rng(10 * n_urows + y)
+        n_rows, dim, k = 9, 6, len(LABELS)
+        E = rng.normal(size=(n_rows, dim))
+        W = rng.normal(size=(k, dim))
+        b = rng.normal(size=k)
+        urows = np.sort(rng.choice(n_rows, n_urows, replace=False))
+        weights = rng.random(n_urows)
+        weights /= weights.sum()
+        lr = 0.37
+        loss, gE_rows, gW, gb = loss_and_grads(E, W, b, urows, weights, y)
+        E1, W1, b1 = E.copy(), W.copy(), b.copy()
+        step_loss = model_module._sgd_step(E1, W1, b1, urows, weights[:, None], y, lr)
+        assert step_loss == pytest.approx(float(loss), rel=0, abs=1e-12)
+        untouched = np.setdiff1d(np.arange(n_rows), urows)
+        assert np.array_equal(E1[untouched], E[untouched])
+        assert np.allclose(E1[urows] - E[urows], -lr * gE_rows, rtol=0, atol=1e-12)
+        assert np.allclose(W1 - W, -lr * gW, rtol=0, atol=1e-12)
+        assert np.allclose(b1 - b, -lr * gb, rtol=0, atol=1e-12)
+
 
 class TestTraining:
     def test_separable_two_class_reaches_full_training_accuracy(self, trained):
@@ -392,6 +415,21 @@ class TestPredict:
         _, from_empty = predict(trained, "")
         _, from_punct = predict(trained, "???")
         assert np.array_equal(from_empty, from_punct)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["", "???", "!! ...", "ééé 😀 ß"]),
+        st.sampled_from([ex.text for ex in two_class_examples(10)]),
+        st.builds("woord{} ander{} ???".format, st.integers(0, 999), st.integers(0, 999)),
+    ), max_size=80))
+    def test_batch_matches_lone_predict(self, trained, texts):
+        from_biases = np.exp(log_softmax(trained.b.astype(np.float64)))
+        for text, (label, probs) in zip(texts, predict_batch(trained, texts), strict=True):
+            alone_label, alone_probs = predict(trained, text)
+            assert label == alone_label
+            assert np.array_equal(probs, alone_probs)
+            if not tokenize(text):
+                assert np.array_equal(probs, from_biases)
 
     @settings(max_examples=50)
     @given(st.text(max_size=40))
