@@ -48,9 +48,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _log(enabled: bool, **fields) -> None:
-    if enabled:
-        sys.stderr.write(json.dumps(fields, ensure_ascii=False, sort_keys=True) + "\n")
+def _log(**fields) -> None:
+    sys.stderr.write(json.dumps(fields, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 @contextmanager
@@ -125,24 +124,17 @@ def _atomic_path(path):
 
 @contextmanager
 def _atomic_text(path):
-    with _atomic_path(path) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-
-
-@contextmanager
-def _out_handle(path):
-    """Atomic file handle, or stdout when no path was given."""
+    """Atomic text handle on ``path``, or stdout when no path was given."""
     if path is None:
         yield sys.stdout
-    else:
-        with _atomic_text(path) as handle:
-            yield handle
+        return
+    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 def _write_json(path, payload) -> None:
     """Write ``payload`` as indented, key-sorted JSON to ``path``, or stdout."""
-    with _out_handle(path) as handle:
+    with _atomic_text(path) as handle:
         json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -204,9 +196,9 @@ def _hyperparams_from(args) -> Hyperparams:
 # subcommands
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args) -> dict:
     from . import corpus, filterkit
-    query = filterkit.load_query(args.query or args.builtin)
+    query = filterkit.load_query(args.query)
     stream = corpus.ingest(args.infile, fmt=args.format)
     msgs = iter(stream)
     if args.lang:
@@ -229,24 +221,21 @@ def cmd_filter(args) -> int:
 
     if args.stats:
         _write_json(args.stats, stream.stats.to_dict())
-    _log(args.log, event="filter", query=query.name, matched=matched,
-         unmatched=unmatched, rejected_lines=stream.stats.rejected)
-    return 0
+    return {"query": query.name, "matched": matched, "unmatched": unmatched,
+            "rejected_lines": stream.stats.rejected}
 
 
-def cmd_expand_query(args) -> int:
+def cmd_expand_query(args) -> dict:
     from . import corpus, filterkit
-    query = filterkit.load_query(args.query or args.builtin)
+    query = filterkit.load_query(args.query)
     stream = corpus.ingest(args.infile, fmt=args.format)
     report = filterkit.expand_query(query, stream, rounds=args.rounds, top_k=args.top_k,
                                     min_count=args.min_count)
     _write_json(args.out, report.to_dict())
-    _log(args.log, event="expand-query", query=query.name, rounds=args.rounds,
-         rejected_lines=stream.stats.rejected)
-    return 0
+    return {"query": query.name, "rounds": args.rounds, "rejected_lines": stream.stats.rejected}
 
 
-def cmd_sentiment(args) -> int:
+def cmd_sentiment(args) -> dict:
     from . import corpus, polarity
     lexicon = polarity.load_lexicon(args.lexicon)
     stream = corpus.ingest(args.infile, fmt=args.format)
@@ -256,19 +245,18 @@ def cmd_sentiment(args) -> int:
         polarity.write_scored_csv(scored, handle)
     if args.summary:
         _write_json(args.summary, scored.stats.to_dict())
-    _log(args.log, event="sentiment", lexicon=lexicon.name, scored=scored.stats.n,
-         nonzero=scored.stats.nonzero, rejected_lines=stream.stats.rejected)
-    return 0
+    return {"lexicon": lexicon.name, "scored": scored.stats.n, "nonzero": scored.stats.nonzero,
+            "rejected_lines": stream.stats.rejected}
 
 
-def cmd_timeseries(args) -> int:
+def cmd_timeseries(args) -> dict:
     from . import timeseries
     if args.events and not args.events_out:
         raise UsageError("--events requires --events-out")
     # read before --out is replaced, so a bad events file leaves it untouched
     events = timeseries.load_events(args.events) if args.events else None
 
-    log_fields = {}
+    fields = {"kind": args.kind, "bucket": args.bucket}
     if args.kind == "frequency":
         from . import corpus
         stream = corpus.ingest(args.infile, fmt=args.format)
@@ -276,7 +264,7 @@ def cmd_timeseries(args) -> int:
         if args.drop_reposts:
             msgs = (m for m in msgs if not m.is_repost)
         points = timeseries.frequency_series(msgs, bucket=args.bucket, tz=args.tz)
-        log_fields["rejected_lines"] = stream.stats.rejected
+        fields["rejected_lines"] = stream.stats.rejected
     else:
         from . import polarity
         pairs = polarity.read_scored_csv(args.infile)
@@ -299,49 +287,44 @@ def cmd_timeseries(args) -> int:
             timeseries.write_value_csv(points, handle)
     if events is not None:
         _write_json(args.events_out, annotated.to_dict())
-
-    _log(args.log, event="timeseries", kind=args.kind, bucket=args.bucket,
-         points=len(points), **log_fields)
-    return 0
+    return {**fields, "points": len(points)}
 
 
-def cmd_annotate_sample(args) -> int:
+def cmd_annotate_sample(args) -> dict:
     from . import corpus, filterkit
     from .stance import data
-    query = filterkit.load_query(args.query or args.builtin)
+    query = filterkit.load_query(args.query)
     stream = corpus.ingest(args.infile, fmt=args.format)
     selected = data.prepare_annotation_set(stream, query, rate=args.rate, n=args.n,
                                            seed=args.seed)
     with _atomic_text(args.out) as handle:
         count = data.write_annotation_template(selected, handle)
-    _log(args.log, event="annotate-sample", query=query.name, selected=count,
-         rejected_lines=stream.stats.rejected)
-    return 0
+    return {"query": query.name, "selected": count, "rejected_lines": stream.stats.rejected}
 
 
-def cmd_kappa(args) -> int:
+def cmd_kappa(args) -> dict:
     from .stance import data
     report = kappa(data.read_label_column(args.a), data.read_label_column(args.b))
     print(f"kappa={report.kappa!r}")
     print(f"observed_agreement={report.observed_agreement!r}")
     print(f"expected_agreement={report.expected_agreement!r}")
     print(f"n={report.n}")
-    return 0
+    return {"kappa": report.kappa, "n": report.n}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     from . import stance
     hp = _hyperparams_from(args)
     examples = stance.read_labeled_tsv(args.labels)
     model = stance.train(examples, hp)
     with _atomic_path(args.out) as tmp:
         stance.save_model(model, tmp)
-    _log(args.log, event="train", examples=len(examples), epoch_losses=model.loss_history,
-         final_loss=model.loss_history[-1], model_rows=int(model.rows.size), **hp.to_dict())
-    return 0
+    return {"examples": len(examples), "epoch_losses": model.loss_history,
+            "final_loss": model.loss_history[-1], "model_rows": int(model.rows.size),
+            **hp.to_dict()}
 
 
-def cmd_grid_search(args) -> int:
+def cmd_grid_search(args) -> dict:
     from . import stance
     try:
         grid = grid_hyperparams(args.dims, args.epochs, args.lrs, seed=args.seed,
@@ -353,25 +336,23 @@ def cmd_grid_search(args) -> int:
     examples = stance.read_labeled_tsv(args.labels)
     result = stance.grid_search(examples, grid, objective=args.objective, seed=args.seed)
     _write_json(args.out, result.to_dict())
-    _log(args.log, event="grid-search", configs=len(grid), objective=args.objective,
-         best=result.best.to_dict(), workers=stance.worker_count(len(grid)))
-    return 0
+    return {"configs": len(grid), "objective": args.objective, "best": result.best.to_dict(),
+            "workers": stance.worker_count(len(grid))}
 
 
-def cmd_learning_curve(args) -> int:
+def cmd_learning_curve(args) -> dict:
     from . import stance
     hp = _hyperparams_from(args)
     examples = stance.read_labeled_tsv(args.labels)
     points = stance.learning_curve(examples, hp, train_sizes=args.sizes, repeats=args.repeats,
                                    seed=args.seed, test_size=args.test_size)
-    with _out_handle(args.out) as handle:
+    with _atomic_text(args.out) as handle:
         stance.write_learning_curve_csv(points, handle)
-    _log(args.log, event="learning-curve", sizes=args.sizes, repeats=args.repeats,
-         workers=stance.worker_count(len(args.sizes) * args.repeats))
-    return 0
+    return {"sizes": args.sizes, "repeats": args.repeats,
+            "workers": stance.worker_count(len(args.sizes) * args.repeats)}
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> dict:
     from . import corpus, stance
     from .stance import data
     if args.infile and not args.out:
@@ -382,35 +363,34 @@ def cmd_predict(args) -> int:
         label, probs = stance.predict(model, args.text)
         print(json.dumps({"label": label, "probs": data.probs_dict(model.labels, probs)},
                          ensure_ascii=False, sort_keys=True))
-        return 0
+        return {"label": label}
 
     stream = corpus.ingest(args.infile, fmt=args.format)
     with _atomic_text(args.out) as handle:
         labeled = data.write_labeled_jsonl(stance.label_corpus(model, stream), model.labels, handle)
-    _log(args.log, event="predict", labeled=labeled, rejected_lines=stream.stats.rejected)
-    return 0
+    return {"labeled": labeled, "rejected_lines": stream.stats.rejected}
 
 
-def cmd_stance_series(args) -> int:
+def cmd_stance_series(args) -> dict:
     from . import timeseries
     from .stance import data
     series = timeseries.stance_series(data.read_labeled_jsonl(args.infile), bucket=args.bucket,
                                       tz=args.tz)
     with _atomic_text(args.out) as handle:
         timeseries.write_stance_csv(series, handle)
-    _log(args.log, event="stance-series", bucket=args.bucket, points=len(series))
-    return 0
+    return {"bucket": args.bucket, "points": len(series)}
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> dict:
     from . import timeseries
     r, n_overlap = timeseries.correlate(timeseries.read_series_csv(args.a),
                                         timeseries.read_series_csv(args.b))
+    result = {"r": r, "n_overlap": n_overlap}
     if args.out:
-        _write_json(args.out, {"r": r, "n_overlap": n_overlap})
+        _write_json(args.out, result)
     print(f"r={r!r}")
     print(f"n_overlap={n_overlap}")
-    return 0
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +400,7 @@ def cmd_correlate(args) -> int:
 def _add_query_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", type=_input_file, help="topic query JSON file")
-    group.add_argument("--builtin", type=_builtin_query,
+    group.add_argument("--builtin", dest="query", type=_builtin_query, metavar="NAME",
                        help="shipped query: table2 (alias pandemic) or "
                             "socialdistancing (alias social-distancing)")
 
@@ -615,10 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code (0, 1 or 2).
 
-    Library warnings, such as rejected corpus lines, go to ``sys.stderr``
-    for the length of the run. Called in-process, ``main()`` leaves the
-    ``opinionpulse`` logger as it found it: its handlers, level and
-    ``propagate`` flag are restored on every exit path, exceptions included.
+    Each ``cmd_*`` returns its run-record fields; with ``--log``, stderr
+    gets a ``"run"`` record first and, after success, one final record
+    named after the command. Library warnings, such as rejected corpus
+    lines, go to ``sys.stderr`` for the length of the run. In-process,
+    ``main()`` leaves the ``opinionpulse`` logger as it found it: its
+    handlers, level and ``propagate`` flag are restored on every exit path.
     """
     parser = build_parser()
     try:
@@ -629,9 +611,10 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 1
     with _setup_logging(args.log):
-        _log(args.log, event="run", command=args.command, seed=args.seed)
+        if args.log:
+            _log(event="run", command=args.command, seed=args.seed)
         try:
-            return args.func(args)
+            fields = args.func(args)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -639,6 +622,9 @@ def main(argv=None) -> int:
             # a ValueError is a library-level contract violation driven by file contents
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if args.log:
+            _log(event=args.command, **fields)
+        return 0
 
 
 def entrypoint() -> None:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exceptions import InputError
 
@@ -235,11 +235,16 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
     return MessageStream(generate(), stats)
 
 
+def format_timestamp(ts: datetime) -> str:
+    """UTC ``ts`` as every writer emits it, with a four-digit year: ``0999-06-01T10:00:00Z``."""
+    return ts.isoformat(timespec="seconds").replace("+00:00", "Z")
+
+
 def message_to_record(msg: Message) -> dict:
     """JSONL record for a message; inverse of the ingest schema."""
     return {
         "id": msg.id,
-        "created_at": msg.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "created_at": format_timestamp(msg.timestamp),
         "text": msg.text,
         "lang": msg.lang,
         "platform": msg.platform,
@@ -261,26 +266,18 @@ def write_jsonl(msgs: Iterable[Message], handle) -> int:
     return count
 
 
-def filter_lang(
-    msgs: Iterable[Message],
-    keep: str,
-    und_predicate: Callable[[Message], bool] | None = None,
-) -> Iterator[Message]:
-    """Retain messages whose language tag equals ``keep``.
+def filter_lang(msgs: Iterable[Message], keep: str) -> Iterator[Message]:
+    """Retain messages whose language tag equals ``keep``, and untagged ("und") ones.
 
-    Messages tagged "und" go through ``und_predicate``; the default is to
-    retain them, since upstream language tags are more reliable than any
-    local guess we could make.
+    Untagged messages are always kept: upstream language tags are more
+    reliable than any local guess we could make.
     """
     keep = keep.lower()
     if not keep.isalpha() or not 2 <= len(keep) <= 3:
         raise ValueError(f"invalid language tag {keep!r}")
     for msg in msgs:
-        if msg.lang == keep:
+        if msg.lang == keep or msg.lang == "und":
             yield msg
-        elif msg.lang == "und":
-            if und_predicate is None or und_predicate(msg):
-                yield msg
 
 
 def dedup(msgs: Iterable[Message], mode: str = "by_id") -> Iterator[Message]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .constants import TOY_LEXICON
-from .corpus import Message, MessageStream, parse_timestamp
+from .corpus import Message, MessageStream, format_timestamp, parse_timestamp
 from .exceptions import InputError, utf8_input
 from .tokenization import tokenize
 
@@ -68,10 +69,6 @@ class PolarityLexicon:
             by_first.setdefault(symbol[0], []).append((index, symbol, value))
         object.__setattr__(self, "_emoji_by_first", by_first)
         object.__setattr__(self, "_emoji_firsts", frozenset(by_first))
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.words) + len(self.emoji)
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,8 @@ def write_scored_csv(scored: Iterable, handle) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(SCORED_CSV_HEADER)
     for msg, polarity in scored:
-        writer.writerow([msg.id, msg.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                         repr(polarity.value), polarity.hits])
+        writer.writerow([msg.id, format_timestamp(msg.timestamp), repr(polarity.value),
+                         polarity.hits])
 
 
 def read_scored_csv(path) -> Iterator:
@@ -242,6 +239,9 @@ def read_scored_csv(path) -> Iterator:
             if len(row) != 4:
                 raise InputError(f"{name}: expected id,timestamp,value,hits, line {lineno}")
             try:
-                yield parse_timestamp(row[1]), float(row[2])
+                ts, value = parse_timestamp(row[1]), float(row[2])
+                if not math.isfinite(value):
+                    raise ValueError(f"value {row[2]!r} is not finite")
+                yield ts, value
             except ValueError as exc:
                 raise InputError(f"{name}: {exc}, line {lineno}") from None

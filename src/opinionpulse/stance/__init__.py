@@ -16,7 +16,6 @@ _LAZY = {
     "LabeledExample": "data",
     "prepare_annotation_set": "data",
     "read_labeled_tsv": "data",
-    "write_labeled_tsv": "data",
     "Hyperparams": "params",
     "grid_hyperparams": "params",
     "StanceModel": "model",

@@ -56,14 +56,6 @@ def read_labeled_tsv(path) -> list[LabeledExample]:
     return examples
 
 
-def write_labeled_tsv(examples: Iterable[LabeledExample], handle) -> int:
-    count = 0
-    for example in examples:
-        handle.write(f"{example.label}\t{example.text}\n")
-        count += 1
-    return count
-
-
 def read_label_column(path) -> list[str]:
     """First column of a TSV as a label sequence (for agreement checks)."""
     path = Path(path)

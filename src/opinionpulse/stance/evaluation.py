@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..exceptions import InputError
 from .data import LABEL_INDEX, LABELS, LabeledExample
-from .model import Hyperparams, StanceModel, predict_batch, train, with_seed
+from .model import Hyperparams, StanceModel, predict_batch, train
 
 logger = logging.getLogger(__name__)
 
@@ -191,14 +191,10 @@ class CrossValidationResult:
     mean_fraction_score: float | None
     std_fraction_score: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "folds": [report.to_dict() for report in self.fold_reports],
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "mean_fraction_score": self.mean_fraction_score,
-            "std_fraction_score": self.std_fraction_score,
-        }
+
+def _shuffled(items: list, seed: int) -> list:
+    """``items`` in the order of one seeded permutation."""
+    return [items[i] for i in np.random.default_rng(seed).permutation(len(items))]
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:
@@ -233,8 +229,7 @@ def cross_validate(
     if n < folds:
         raise InputError(f"{n} examples cannot fill {folds} folds")
 
-    order = np.random.default_rng(seed).permutation(n)
-    shuffled = [examples[i] for i in order]
+    shuffled = _shuffled(examples, seed)
     base, extra = divmod(n, folds)
     jobs = []
     start = 0
@@ -243,7 +238,7 @@ def cross_validate(
         test = shuffled[start : start + size]
         train_set = shuffled[:start] + shuffled[start + size :]
         start += size
-        jobs.append((train_set, with_seed(hp, hp.seed + i), test))
+        jobs.append((train_set, replace(hp, seed=hp.seed + i), test))
     reports = _map(_train_and_evaluate, jobs)
 
     mean_acc, std_acc = _mean_std([rep.accuracy for rep in reports])
@@ -341,8 +336,7 @@ def grid_search(
 
     examples = list(examples)
     n = len(examples)
-    order = np.random.default_rng(seed).permutation(n)
-    shuffled = [examples[i] for i in order]
+    shuffled = _shuffled(examples, seed)
     i1, i2 = round(0.8 * n), round(0.9 * n)
     train_set, val_set, test_set = shuffled[:i1], shuffled[i1:i2], shuffled[i2:]
     if not train_set or not val_set or not test_set:
@@ -368,13 +362,6 @@ class LearningCurvePoint:
     size: int
     mean_accuracy: float
     mean_fraction_score: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "mean_accuracy": self.mean_accuracy,
-            "mean_fraction_score": self.mean_fraction_score,
-        }
 
 
 def write_learning_curve_csv(points: Sequence[LearningCurvePoint], handle) -> None:
@@ -420,35 +407,22 @@ def learning_curve(
             f"train size {max(sizes)} plus test size {test_size} exceeds {n} examples"
         )
 
-    order = np.random.default_rng(seed).permutation(n)
-    shuffled = [examples[i] for i in order]
+    shuffled = _shuffled(examples, seed)
     test_set = shuffled[n - test_size :]
     pool = shuffled[: n - test_size]
 
     jobs = []
     for r in range(repeats):
-        rep_order = np.random.default_rng(seed + 1 + r).permutation(len(pool))
-        rep_pool = [pool[i] for i in rep_order]
-        jobs.extend((rep_pool[:size], with_seed(hp, hp.seed + r), test_set) for size in sizes)
-    reports = iter(_map(_train_and_evaluate, jobs))
-
-    acc_sums = {size: 0.0 for size in sizes}
-    frac_values: dict[int, list[float]] = {size: [] for size in sizes}
-    for _ in range(repeats):
-        for size in sizes:
-            report = next(reports)
-            acc_sums[size] += report.accuracy
-            if report.fraction_score is not None and math.isfinite(report.fraction_score):
-                frac_values[size].append(report.fraction_score)
+        rep_pool = _shuffled(pool, seed + 1 + r)
+        jobs.extend((rep_pool[:size], replace(hp, seed=hp.seed + r), test_set) for size in sizes)
+    reports = _map(_train_and_evaluate, jobs)
 
     points = []
-    for size in sizes:
-        fracs = frac_values[size]
-        points.append(
-            LearningCurvePoint(
-                size=size,
-                mean_accuracy=acc_sums[size] / repeats,
-                mean_fraction_score=float(np.mean(fracs)) if fracs else None,
-            )
-        )
+    for i, size in enumerate(sizes):
+        own = reports[i :: len(sizes)]  # this size's report of each repeat, in repeat order
+        accuracy = 0.0
+        for report in own:  # a plain loop: sum() rounds differently from Python 3.12
+            accuracy += report.accuracy
+        mean_fraction, _ = _mean_std([report.fraction_score for report in own])
+        points.append(LearningCurvePoint(size, accuracy / repeats, mean_fraction))
     return points

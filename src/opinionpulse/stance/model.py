@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -457,8 +457,3 @@ def load_model(path) -> StanceModel:
     E, W, b = np.split(payload[8 * k :].view("<f4"), [k * hp.dim, (k + n_labels) * hp.dim])
     return StanceModel(hyperparams=hp, vocab=vocab, rows=rows, E=E.reshape(k, hp.dim),
                        W=W.reshape(n_labels, hp.dim), b=b, labels=labels)
-
-
-def with_seed(hp: Hyperparams, seed: int) -> Hyperparams:
-    """Same configuration, different seed. Used by CV and grid search."""
-    return replace(hp, seed=seed)

@@ -30,8 +30,8 @@ class Hyperparams:
             raise ValueError("dim must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < float("inf"):  # NaN fails this test too
+            raise ValueError("lr must be positive and finite")
         if self.char_ngram_min < 1:
             raise ValueError("char_ngram_min must be positive")
         if self.char_ngram_max < self.char_ngram_min:

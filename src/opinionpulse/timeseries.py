@@ -269,7 +269,6 @@ def load_events(path) -> list[Event]:
 
 @dataclass(frozen=True)
 class AnnotatedSeries:
-    points: tuple[SeriesPoint, ...]
     markers: dict  # bucket -> tuple of event labels
     out_of_range: tuple[Event, ...]
 
@@ -300,7 +299,7 @@ def annotate_events(
         idx = max(i for i, start in enumerate(starts) if start <= event.date)
         key = points[idx].bucket
         markers[key] = markers.get(key, ()) + (event.label,)
-    return AnnotatedSeries(points=points, markers=markers, out_of_range=tuple(out_of_range))
+    return AnnotatedSeries(markers=markers, out_of_range=tuple(out_of_range))
 
 
 def _bucket_date(bucket) -> date:
@@ -374,9 +373,12 @@ def read_series_csv(path) -> list[SeriesPoint]:
 
     def number(convert, text: str):
         try:
-            return convert(text)
+            value = convert(text)
         except ValueError:
             raise error(f"bad value {text!r}") from None
+        if value in (math.inf, -math.inf) or value != value:  # isfinite overflows on a huge n
+            raise error(f"bad value {text!r}")
+        return value
 
     columns = None
     points = {}

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: flags, exit codes, file contracts."""
 
+import argparse
 import csv
 import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 import opinionpulse
 from conftest import make_separable, msg, write_corpus, write_labels
 from opinionpulse import __version__
-from opinionpulse.cli import main
+from opinionpulse.cli import build_parser, main
 from opinionpulse.corpus import ingest
 from opinionpulse.exceptions import InputError
 from opinionpulse.polarity import load_lexicon, score_stream, toy_lexicon_path
@@ -367,6 +369,14 @@ class TestExitCodes:
         assert f"opinionpulse {command}: error: argument {flag}: expected " in err
         assert '"event": "run"' not in err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "learning-curve"])
+    def test_non_finite_lr_exits_one(self, command, lr, valid_runs, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([command, *_with_flag(valid_runs(command, str(out)), "--lr", lr)]) == 1
+        assert capsys.readouterr().err == "error: lr must be positive and finite\n"
+        assert not out.exists()
+
 
 class TestInputFileFlags:
     @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -452,6 +462,24 @@ class TestOutOfRangeTimestamps:
         assert capsys.readouterr().err == (
             f"error: scored.csv: bad timestamp: '{self.HUGE}', line 4\n")
         assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+
+    def test_year_999_round_trips_through_the_chain(self, tmp_path, capsys):
+        corpus, matched, scored, series = (tmp_path / name for name in
+                                           ("c.jsonl", "m.jsonl", "s.csv", "t.csv"))
+        corpus.write_text('{"id": "a", "created_at": "0999-06-01T10:00:00Z", '
+                          '"text": "corona goed"}\n', encoding="utf-8")
+        assert main(["filter", "--builtin", "pandemic", "--in", str(corpus),
+                     "--out", str(matched)]) == 0
+        assert json.loads(matched.read_text(encoding="utf-8"))["created_at"] == \
+            "0999-06-01T10:00:00Z"
+        assert main(["sentiment", "--toy-lexicon", "--in", str(matched),
+                     "--out", str(scored)]) == 0
+        assert scored.read_text(encoding="utf-8").splitlines()[1] == \
+            "a,0999-06-01T10:00:00Z,0.6,1"
+        assert main(["timeseries", "--kind", "sentiment", "--in", str(scored),
+                     "--out", str(series)]) == 0
+        assert series.read_text(encoding="utf-8") == "bucket,mean,n\n0999-06-01,0.6,1\n"
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("created, bucket, error", [
         # moving to +01:00 leaves the year 9999
@@ -1120,6 +1148,19 @@ class TestRunLog:
         assert events[0]["seed"] == 42
         assert any(e.get("event") == "filter" and e.get("matched") == 2 for e in events)
 
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "predict --text"])
+    def test_every_command_ends_with_one_final_record(self, command, valid_runs, tmp_path,
+                                                      capsys):
+        name = command.split()[0]
+        argv = valid_runs(name, str(tmp_path / "out"))
+        if command == "predict --text":
+            argv = [*argv[:2], "--text", "houd afstand"]
+        capsys.readouterr()
+        assert main([name, *argv, "--log"]) == 0
+        events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
+        assert events[0] == "run" and events[-1] == name
+        assert events.count("run") == events.count(name) == 1
+
     @pytest.mark.parametrize("command", [
         "sentiment", "timeseries", "predict", "annotate-sample", "expand-query",
     ])
@@ -1269,3 +1310,23 @@ class TestLoggingScope:
         assert warnings[0]["logger"] == "opinionpulse.corpus"
         assert "bad.jsonl line 3 rejected" in warnings[0]["message"]
         assert any(e["event"] == "filter" and e["rejected_lines"] == 1 for e in events)
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.sh"))
+
+
+class TestShippedScripts:
+    @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+    def test_script_parses_and_passes_only_known_flags(self, script):
+        check = subprocess.run(["bash", "-n", str(script)], capture_output=True, text=True)
+        assert check.returncode == 0, check.stderr
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        text = script.read_text(encoding="utf-8").replace("\\\n", " ")
+        calls = re.findall(r"^\s*opinionpulse ([\w-]+)(.*)$", text, flags=re.MULTILINE)
+        assert calls, f"{script.name} calls no opinionpulse command"
+        for command, rest in calls:
+            assert command in subparsers.choices, f"{script.name}: no command {command}"
+            options = subparsers.choices[command]._option_string_actions
+            for flag in re.findall(r"(?<!\S)--[\w-]+", rest):
+                assert flag in options, f"{script.name}: {command} has no flag {flag}"

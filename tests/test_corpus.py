@@ -265,11 +265,6 @@ class TestFilterLang:
     def test_und_retained_by_default(self):
         assert len(list(filter_lang([msg("a", lang="und")], "nl"))) == 1
 
-    def test_und_predicate_hook(self):
-        msgs = [msg("houd afstand", lang="und"), msg("keep apart", lang="und")]
-        kept = list(filter_lang(msgs, "nl", und_predicate=lambda m: "afstand" in m.text))
-        assert [m.text for m in kept] == ["houd afstand"]
-
     def test_ten_percent_excluded(self):
         msgs = [msg(f"t{i}", lang="en") for i in range(10)]
         msgs += [msg(f"t{i}", lang="nl") for i in range(10, 100)]

@@ -32,7 +32,7 @@ def tiny(tmp_path, body):
 
 class TestLoadLexicon:
     def test_toy_lexicon_shape(self):
-        assert TOY.entry_count == 60
+        assert len(TOY.words) + len(TOY.emoji) == 60
         assert len(TOY.words) == 50
         assert len(TOY.emoji) == 10
         assert TOY.words["goed"] == 0.6
@@ -51,7 +51,7 @@ class TestLoadLexicon:
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         lex = load_lexicon(tiny(tmp_path, "# kop\n\ngoed\t0.6\n"))
-        assert lex.entry_count == 1
+        assert len(lex.words) + len(lex.emoji) == 1
 
     def test_score_out_of_range(self, tmp_path):
         with pytest.raises(InputError, match=r"score out of range, line 1"):
@@ -274,6 +274,15 @@ class TestScoredCsv:
         path = tmp_path / "scored.csv"
         path.write_text("id,timestamp,value,hits\na,2020-03-01T10:00:00Z,0.5\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"scored.csv: expected id,timestamp,value,hits, line 2"):
+            list(read_scored_csv(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "scored.csv"
+        path.write_text(f"id,timestamp,value,hits\na,2020-03-01T10:00:00Z,{value},1\n",
+                        encoding="utf-8")
+        with pytest.raises(InputError,
+                           match=rf"scored.csv: value '{value}' is not finite, line 2"):
             list(read_scored_csv(path))
 
     def test_header_after_blank_lines(self, tmp_path):

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_messages, msg
+from conftest import make_messages, msg, write_labels
 from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import TopicQuery
-from opinionpulse.stance import LabeledExample, prepare_annotation_set, read_labeled_tsv, write_labeled_tsv
+from opinionpulse.stance import LabeledExample, prepare_annotation_set, read_labeled_tsv
 from opinionpulse.stance.data import (
     LABEL_INDEX,
     LABELS,
@@ -48,8 +48,7 @@ class TestLabeledTsv:
             LabeledExample(text="wat eten we vandaag", label="other"),
         ]
         path = tmp_path / "labels.tsv"
-        with open(path, "w", encoding="utf-8") as handle:
-            assert write_labeled_tsv(examples, handle) == 3
+        write_labels(path, examples)
         assert read_labeled_tsv(path) == examples
 
     def test_labels_lowercased_on_read(self, tmp_path):

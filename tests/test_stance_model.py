@@ -1,6 +1,7 @@
 """Classifier internals: features, training, persistence."""
 
 import json
+from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -26,7 +27,6 @@ from opinionpulse.stance.model import (
     log_softmax,
     loss_and_grads,
     predict_batch,
-    with_seed,
 )
 from opinionpulse.tokenization import tokenize
 
@@ -74,6 +74,8 @@ class TestHyperparams:
             {"char_ngram_min": 0},
             {"char_ngram_min": 4, "char_ngram_max": 3},
             {"bucket": 0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
@@ -83,12 +85,6 @@ class TestHyperparams:
     def test_to_dict_round_trips(self):
         hp = Hyperparams(dim=25, epochs=30, lr=0.5, seed=7)
         assert Hyperparams(**hp.to_dict()) == hp
-
-    def test_with_seed_changes_only_seed(self):
-        hp = Hyperparams(dim=25)
-        reseeded = with_seed(hp, 99)
-        assert reseeded.seed == 99
-        assert reseeded.dim == 25 and reseeded.epochs == hp.epochs
 
 
 class TestGridHyperparams:
@@ -324,7 +320,7 @@ class TestTraining:
     def test_different_seeds_differ(self):
         examples = two_class_examples(60)
         first = train(examples, FAST)
-        second = train(examples, with_seed(FAST, 43))
+        second = train(examples, replace(FAST, seed=43))
         assert first.loss_history != second.loss_history
 
     def test_empty_training_set(self):

@@ -574,6 +574,12 @@ class TestMalformedSeriesRows:
         with pytest.raises(InputError, match=r"series.csv: bad value 'x', line 3"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = self.write(tmp_path, "bucket,mean,n", f"2020-03-02,{value},3")
+        with pytest.raises(InputError, match=rf"series.csv: bad value '{value}', line 3"):
+            read_series_csv(path)
+
     @pytest.mark.parametrize("header", list(HEADERS))
     def test_duplicate_bucket(self, tmp_path, header):
         path = self.write(tmp_path, header, self.HEADERS[header])
