@@ -32,7 +32,7 @@ from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, STANCE_BUCKETS, TOY
 from .exceptions import InputError
 # the one command function bound here, so a caller can replace cli.kappa
 from .stance.agreement import kappa
-from .stance.params import Hyperparams, grid_hyperparams
+from .stance.params import DIM_RANGE, EPOCHS_RANGE, LR_RANGE, Hyperparams, grid_hyperparams
 
 logger = logging.getLogger(__name__)
 
@@ -66,16 +66,9 @@ def _setup_logging(json_mode: bool):
     if json_mode:
         class _JsonFormatter(logging.Formatter):
             def format(self, record):
-                return json.dumps(
-                    {
-                        "event": "log",
-                        "level": record.levelname.lower(),
-                        "logger": record.name,
-                        "message": record.getMessage(),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
+                return json.dumps({"event": "log", "level": record.levelname.lower(),
+                                   "logger": record.name, "message": record.getMessage()},
+                                  ensure_ascii=False, sort_keys=True)
 
         handler.setFormatter(_JsonFormatter())
         level = logging.INFO
@@ -161,6 +154,7 @@ _input_file = _flag_type(Path, "an existing file", Path.is_file)
 _output_file = _flag_type(Path, "a file in an existing directory",
                           lambda path: path.parent.is_dir() and not path.is_dir())
 _positive_int = _flag_type(int, "a positive integer", lambda n: n >= 1)
+_positive_float = _flag_type(float, "a positive finite number", lambda x: 0 < x < float("inf"))
 _rate = _flag_type(float, "a rate in (0, 1]", lambda rate: 0 < rate <= 1)
 _lang = _flag_type(str, "a 2- or 3-letter language tag",
                    lambda tag: tag.isalpha() and 2 <= len(tag) <= 3)
@@ -180,8 +174,14 @@ _tz = _flag_type(_parse_tz, "an offset such as +01:00")
 _builtin_query = _flag_type(_builtin_query_path, "a shipped query name")
 _int_list = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
                        "a comma-separated list of integers", bool)
-_float_list = _flag_type(lambda text: [float(item) for item in text.split(",") if item.strip()],
-                         "a comma-separated list of numbers", bool)
+
+
+def _list_within(convert, low, high):
+    """A non-empty comma-separated list of ``convert`` values, each in [low, high]."""
+    what = "integers" if convert is int else "numbers"
+    return _flag_type(lambda text: [convert(item) for item in text.split(",") if item.strip()],
+                      f"a comma-separated list of {what} in [{low}, {high}]",
+                      lambda values: values and all(low <= v <= high for v in values))
 
 
 def _hyperparams_from(args) -> Hyperparams:
@@ -413,21 +413,21 @@ def _add_corpus_flags(parser) -> None:
 
 
 def _add_hyperparam_flags(parser, defaults: Hyperparams) -> None:
-    parser.add_argument("--dim", type=int, default=defaults.dim,
+    parser.add_argument("--dim", type=_positive_int, default=defaults.dim,
                         help="embedding width (default %(default)s)")
-    parser.add_argument("--epochs", type=int, default=defaults.epochs,
+    parser.add_argument("--epochs", type=_positive_int, default=defaults.epochs,
                         help="training epochs (default %(default)s)")
-    parser.add_argument("--lr", type=float, default=defaults.lr,
+    parser.add_argument("--lr", type=_positive_float, default=defaults.lr,
                         help="initial learning rate (default %(default)s)")
     _add_hash_flags(parser, defaults)
 
 
 def _add_hash_flags(parser, defaults: Hyperparams) -> None:
-    parser.add_argument("--char-ngram-min", type=int, default=defaults.char_ngram_min,
+    parser.add_argument("--char-ngram-min", type=_positive_int, default=defaults.char_ngram_min,
                         help="shortest hashed character n-gram (default %(default)s)")
     parser.add_argument("--char-ngram-max", type=int, default=defaults.char_ngram_max,
                         help="longest hashed character n-gram (default %(default)s)")
-    parser.add_argument("--bucket", type=int, default=defaults.bucket,
+    parser.add_argument("--bucket", type=_positive_int, default=defaults.bucket,
                         help="hash buckets for character n-grams (default %(default)s)")
 
 
@@ -537,12 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=_input_file, required=True, help="label<TAB>text file")
     p.add_argument("--objective", choices=("accuracy", "fraction_score"),
                    default="fraction_score")
-    p.add_argument("--dims", type=_int_list, default=[defaults.dim],
-                   help="comma list, each in [10,300]")
-    p.add_argument("--epochs", type=_int_list, default=[defaults.epochs],
-                   help="comma list, each in [10,500]")
-    p.add_argument("--lrs", type=_float_list, default=[defaults.lr],
-                   help="comma list, each in [0.05,1.0]")
+    for flag, convert, default, (low, high) in (("--dims", int, defaults.dim, DIM_RANGE),
+                                                ("--epochs", int, defaults.epochs, EPOCHS_RANGE),
+                                                ("--lrs", float, defaults.lr, LR_RANGE)):
+        p.add_argument(flag, type=_list_within(convert, low, high), default=[default],
+                       help=f"comma list, each in [{low},{high}]")
     _add_hash_flags(p, defaults)
     p.add_argument("--out", type=_output_file, help="report JSON (default stdout)")
     p.set_defaults(func=cmd_grid_search)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .constants import DATA_DIR
 from .corpus import Message
-from .exceptions import InputError, utf8_input
+from .exceptions import InputError, input_lines
 from .tokenization import normalize_counts
 
 COMBINE_MODES = ("keywords_only", "regex_only", "keywords_or_regex")
@@ -90,11 +90,12 @@ def load_query(path) -> TopicQuery:
     ``combine`` defaults to whatever the populated fields allow.
     """
     path = Path(path)
+    with input_lines(path, "query") as lines:
+        text = "".join(lines)
     try:
-        with utf8_input(path):
-            record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read query {path}: {exc}") from None
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path.name}: malformed JSON: {exc}") from None
     keywords = record.get("keywords") or []
     regex = record.get("regex")
     combine = record.get("combine")

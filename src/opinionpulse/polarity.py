@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .constants import TOY_LEXICON
 from .corpus import Message, MessageStream, format_timestamp, parse_timestamp
-from .exceptions import InputError, utf8_input
+from .exceptions import input_lines
 from .tokenization import tokenize
 
 logger = logging.getLogger("opinionpulse.polarity")
@@ -90,34 +90,27 @@ def load_lexicon(path) -> PolarityLexicon:
     outside [-1, 1] and duplicate terms fail with the line number.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"lexicon file not found: {path}")
     words: dict = {}
     emoji: dict = {}
-    with utf8_input(path), open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+    with input_lines(path, "lexicon") as lines:
+        for line in lines:
+            line = line.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise InputError(f"{path.name}: expected term<TAB>score, line {lineno}")
+                raise ValueError("expected term<TAB>score")
             term, raw_score = parts[0], parts[1].strip()
             try:
                 score = float(raw_score)
             except ValueError:
-                raise InputError(f"{path.name}: bad score {raw_score!r}, line {lineno}") from None
+                raise ValueError(f"bad score {raw_score!r}") from None
             if not -1.0 <= score <= 1.0:
-                raise InputError(f"{path.name}: score out of range, line {lineno}")
-            if _is_emoji_term(term):
-                if term in emoji:
-                    raise InputError(f"{path.name}: duplicate term {term!r}, line {lineno}")
-                emoji[term] = score
-            else:
-                term = term.lower()
-                if term in words:
-                    raise InputError(f"{path.name}: duplicate term {term!r}, line {lineno}")
-                words[term] = score
+                raise ValueError("score out of range")
+            table, term = (emoji, term) if _is_emoji_term(term) else (words, term.lower())
+            if term in table:
+                raise ValueError(f"duplicate term {term!r}")
+            table[term] = score
     logger.info("loaded lexicon %s: %d words, %d emoji", path.name, len(words), len(emoji))
     return PolarityLexicon(name=path.stem, words=words, emoji=emoji)
 
@@ -226,10 +219,9 @@ def write_scored_csv(scored: Iterable, handle) -> None:
 
 def read_scored_csv(path) -> Iterator:
     """Replay a scored CSV as (timestamp, value) pairs."""
-    name = Path(path).name
     first = True
-    with utf8_input(path), open(path, encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+    with input_lines(path, "scored CSV") as lines:
+        for row in csv.reader(lines):
             if not any(cell.strip() for cell in row):
                 continue
             if first:
@@ -237,11 +229,8 @@ def read_scored_csv(path) -> Iterator:
                 if tuple(c.strip().lower() for c in row) == SCORED_CSV_HEADER:
                     continue
             if len(row) != 4:
-                raise InputError(f"{name}: expected id,timestamp,value,hits, line {lineno}")
-            try:
-                ts, value = parse_timestamp(row[1]), float(row[2])
-                if not math.isfinite(value):
-                    raise ValueError(f"value {row[2]!r} is not finite")
-                yield ts, value
-            except ValueError as exc:
-                raise InputError(f"{name}: {exc}, line {lineno}") from None
+                raise ValueError("expected id,timestamp,value,hits")
+            ts, value = parse_timestamp(row[1]), float(row[2])
+            if not math.isfinite(value):
+                raise ValueError(f"value {row[2]!r} is not finite")
+            yield ts, value

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..constants import LABELS
 from ..corpus import Message, dedup, message_to_record, parse_timestamp, sample
-from ..exceptions import InputError, utf8_input
+from ..exceptions import InputError, input_lines
 
 if TYPE_CHECKING:  # an annotation only: kappa, train and predict need no filterkit
     from ..filterkit import TopicQuery
@@ -36,40 +35,29 @@ class LabeledExample:
 
 def read_labeled_tsv(path) -> list[LabeledExample]:
     """Read label<TAB>text lines; blank lines are skipped."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"label file not found: {path}")
     examples = []
-    with utf8_input(path), open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+    with input_lines(path, "label") as lines:
+        for line in lines:
+            line = line.rstrip("\r\n")
             if not line.strip():
                 continue
             parts = line.split("\t", 1)
             if len(parts) != 2:
-                raise InputError(f"{path.name}: expected label<TAB>text, line {lineno}")
-            label, text = parts[0].strip().lower(), parts[1]
-            try:
-                examples.append(LabeledExample(text=text, label=label))
-            except ValueError as exc:
-                raise InputError(f"{path.name}: {exc}, line {lineno}") from None
+                raise ValueError("expected label<TAB>text")
+            examples.append(LabeledExample(text=parts[1], label=parts[0].strip().lower()))
     return examples
 
 
 def read_label_column(path) -> list[str]:
     """First column of a TSV as a label sequence (for agreement checks)."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"label file not found: {path}")
     labels = []
-    with utf8_input(path), open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
+    with input_lines(path, "label") as lines:
+        for line in lines:
             if not line.strip():
                 continue
             label = line.split("\t", 1)[0].strip().lower()
             if not label:
-                raise InputError(f"{path.name}: empty label, line {lineno}")
+                raise ValueError("empty label")
             labels.append(label)
     return labels
 
@@ -124,16 +112,14 @@ def write_labeled_jsonl(labeled: Iterable, labels: Sequence[str], handle) -> int
 
 def read_labeled_jsonl(path) -> Iterator:
     """Replay predict output as (timestamp, stance) pairs."""
-    name = Path(path).name
-    with utf8_input(path), open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    with input_lines(path, "labeled JSONL") as lines:
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-                if record["stance"] not in LABELS:
-                    raise ValueError(f"unknown stance label {record['stance']!r}")
-                yield parse_timestamp(record["created_at"]), record["stance"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{name}: bad labeled record, line {lineno}: {exc}") from None
+            record = json.loads(line)
+            if not isinstance(record, dict) or not record.keys() >= {"created_at", "stance"}:
+                raise ValueError("expected an object with created_at and stance")
+            if record["stance"] not in LABELS:
+                raise ValueError(f"unknown stance label {record['stance']!r}")
+            yield parse_timestamp(record["created_at"]), record["stance"]

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, LABELS, STANCE_BUCKETS
-from .exceptions import InputError, utf8_input
+from .exceptions import InputError, input_lines
 
 logger = logging.getLogger(__name__)
 
@@ -219,6 +219,16 @@ def moving_average(
     return out
 
 
+def _unit_scaled(values: list) -> list:
+    """``values`` times the power of two that brings the largest magnitude into [0.5, 1).
+
+    Pearson r does not change under this scaling, which is exact for
+    normal floats; afterwards no sum or square of deviations can overflow.
+    """
+    shift = -math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
 def correlate(a: Sequence[SeriesPoint], b: Sequence[SeriesPoint]) -> tuple[float, int]:
     """Pearson r over the bucket intersection of two series."""
     by_bucket = {p.bucket: p.value for p in b}
@@ -230,9 +240,10 @@ def correlate(a: Sequence[SeriesPoint], b: Sequence[SeriesPoint]) -> tuple[float
     ys = [y for _, y in pairs]
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise InputError("degenerate series: zero variance")
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    sxy = math.fsum((x - mx) * (y - my) for x, y in pairs)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     syy = math.fsum((y - my) ** 2 for y in ys)
     if sxx <= 0 or syy <= 0:
@@ -248,22 +259,21 @@ class Event:
 
 def load_events(path) -> list[Event]:
     """Read an events JSON file: a list of {date, label} objects."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"events file not found: {path}")
+    name = Path(path).name
+    with input_lines(path, "events") as lines:
+        text = "".join(lines)
     try:
-        with utf8_input(path):
-            raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path.name}: malformed JSON: {exc}") from None
+        raise InputError(f"{name}: malformed JSON: {exc}") from None
     if not isinstance(raw, list):
-        raise InputError(f"{path.name}: expected a list of events")
+        raise InputError(f"{name}: expected a list of events")
     events = []
     for i, item in enumerate(raw):
         try:
             events.append(Event(date=date.fromisoformat(item["date"]), label=str(item["label"])))
         except (TypeError, KeyError, ValueError):
-            raise InputError(f"{path.name}: bad event at index {i}") from None
+            raise InputError(f"{name}: bad event at index {i}") from None
     return events
 
 
@@ -364,26 +374,19 @@ def read_series_csv(path) -> list[SeriesPoint]:
     (read as the support rate) or else date,value (header optional, n = 1).
     A malformed row raises InputError naming the file and line.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"series file not found: {path}")
-
-    def error(what: str) -> InputError:
-        return InputError(f"{path.name}: {what}, line {lineno}")
-
     def number(convert, text: str):
         try:
             value = convert(text)
+            if value in (math.inf, -math.inf) or value != value:  # isfinite overflows on a huge n
+                raise ValueError
         except ValueError:
-            raise error(f"bad value {text!r}") from None
-        if value in (math.inf, -math.inf) or value != value:  # isfinite overflows on a huge n
-            raise error(f"bad value {text!r}")
+            raise ValueError(f"bad value {text!r}") from None
         return value
 
     columns = None
     points = {}
-    with utf8_input(path), open(path, encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+    with input_lines(path, "series") as lines:
+        for row in csv.reader(lines):
             if not any(cell.strip() for cell in row):
                 continue
             if columns is None:
@@ -393,16 +396,16 @@ def read_series_csv(path) -> list[SeriesPoint]:
                 if n_col is not None or header[0] == "date":
                     continue
             if len(row) != len(columns):
-                raise error(f"expected {','.join(columns)}")
+                raise ValueError(f"expected {','.join(columns)}")
             text = row[0].strip()
             try:
                 key = date.fromisoformat(text) if n_col is None else parse_bucket(text)
             except (InputError, ValueError):
-                raise error(f"unparseable {columns[0]} {row[0]!r}") from None
+                raise ValueError(f"unparseable {columns[0]} {row[0]!r}") from None
             if points and type(key) is not type(next(iter(points))):
-                raise error(f"bucket {row[0]!r} mixes days and hours")
+                raise ValueError(f"bucket {row[0]!r} mixes days and hours")
             if key in points:
-                raise error(f"duplicate {columns[0]} {row[0]}")
+                raise ValueError(f"duplicate {columns[0]} {row[0]}")
             n = 1 if n_col is None else number(int, row[n_col])
             points[key] = SeriesPoint(bucket=key, value=number(float, row[1]), n=n)
     return [points[key] for key in sorted(points)]

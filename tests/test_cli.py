@@ -374,7 +374,39 @@ class TestExitCodes:
     def test_non_finite_lr_exits_one(self, command, lr, valid_runs, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([command, *_with_flag(valid_runs(command, str(out)), "--lr", lr)]) == 1
-        assert capsys.readouterr().err == "error: lr must be positive and finite\n"
+        assert capsys.readouterr().err.endswith(
+            f"opinionpulse {command}: error: argument --lr: expected a positive finite number, "
+            f"got '{lr}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, expected", [
+        ("train", "--dim", "0", "a positive integer"),
+        ("train", "--epochs", "0", "a positive integer"),
+        ("learning-curve", "--lr", "-0.1", "a positive finite number"),
+        ("train", "--char-ngram-min", "0", "a positive integer"),
+        ("grid-search", "--bucket", "0", "a positive integer"),
+        ("grid-search", "--dims", "16,5", "a comma-separated list of integers in [10, 300]"),
+        ("grid-search", "--epochs", "501", "a comma-separated list of integers in [10, 500]"),
+        ("grid-search", "--lrs", "0.3,nan", "a comma-separated list of numbers in [0.05, 1.0]"),
+    ])
+    def test_hyperparameter_flag_fails_while_parsing(self, command, flag, value, expected,
+                                                     valid_runs, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = _with_flag(valid_runs(command, str(out)), flag, value)
+        assert main([command, *argv, "--log"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: opinionpulse {command} ")
+        assert err.endswith(f"opinionpulse {command}: error: argument {flag}: "
+                            f"expected {expected}, got '{value}'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid-search", "learning-curve"])
+    def test_char_ngram_range_is_checked_after_parsing(self, command, valid_runs, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        argv = _with_flag(valid_runs(command, str(out)), "--char-ngram-max", "2")
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == "error: char_ngram_max must be >= char_ngram_min\n"
         assert not out.exists()
 
 
@@ -539,7 +571,7 @@ class TestOutOfRangeTimestamps:
         out.write_text("oude inhoud\n", encoding="utf-8")
         assert main(["stance-series", "--in", str(labeled), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: lab.jsonl: bad labeled record, line 2: bad timestamp: ")
+        assert err.startswith("error: lab.jsonl: bad timestamp: ") and err.endswith(", line 2\n")
         assert out.read_text(encoding="utf-8") == "oude inhoud\n"
 
 

@@ -173,7 +173,8 @@ class TestLabeledJsonl:
         path = tmp_path / "labeled.jsonl"
         path.write_text('{"created_at": "2020-03-01T10:00:00Z", "stance": "other"}\n{"id": "x"}\n',
                         encoding="utf-8")
-        with pytest.raises(InputError, match=r"labeled.jsonl: bad labeled record, line 2"):
+        with pytest.raises(InputError, match=r"labeled.jsonl: expected an object with created_at "
+                                             r"and stance, line 2"):
             list(read_labeled_jsonl(path))
 
     def test_unknown_label_names_line(self, tmp_path):
@@ -181,6 +182,5 @@ class TestLabeledJsonl:
         path.write_text('{"created_at": "2020-03-01T10:00:00Z", "stance": "other"}\n\n'
                         '{"created_at": "2020-03-01T11:00:00Z", "stance": "maybe"}\n',
                         encoding="utf-8")
-        with pytest.raises(InputError, match=r"^lab.jsonl: bad labeled record, line 3: "
-                                             r"unknown stance label 'maybe'$"):
+        with pytest.raises(InputError, match=r"^lab.jsonl: unknown stance label 'maybe', line 3$"):
             list(read_labeled_jsonl(path))

@@ -348,6 +348,12 @@ class TestCorrelate:
             expected = scipy_stats.pearsonr(xs, ys).statistic
             assert r == pytest.approx(expected, abs=1e-12)
 
+    def test_huge_values_do_not_overflow(self):
+        other = day_points([0.3, 2.0, -1.5])
+        r, n = correlate(day_points([1e200, -1e200, 0]), other)
+        assert n == 3 and math.isfinite(r)
+        assert r == pytest.approx(correlate(day_points([1, -1, 0]), other)[0], abs=1e-12)
+
     def test_overlap_only(self):
         a = day_points([1, 2, 3, 4], start="2020-03-01")
         b = day_points([5, 1, 2, 9], start="2020-03-03")  # overlaps on 03-03/03-04
