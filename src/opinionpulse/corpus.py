@@ -13,10 +13,16 @@ import logging
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .exceptions import InputError
+
+try:  # the blake2b that hashlib returns, without the OpenSSL library hashlib maps (~3.5 MiB)
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 logger = logging.getLogger("opinionpulse.corpus")
 
@@ -283,13 +289,20 @@ def filter_lang(msgs: Iterable[Message], keep: str) -> Iterator[Message]:
 def dedup(msgs: Iterable[Message], mode: str = "by_id") -> Iterator[Message]:
     """Drop duplicate messages, first occurrence wins, order preserved.
 
-    ``by_id`` keys on (platform, id); ``by_exact_text`` on the trimmed text.
+    ``by_id`` keys on (platform, id); ``by_exact_text`` on a 16-byte
+    BLAKE2b digest of the trimmed text, so memory grows by the digest, not
+    the text, per distinct message.
     """
     if mode not in ("by_id", "by_exact_text"):
         raise ValueError(f"unknown dedup mode {mode!r}")
     seen = set()
     for msg in msgs:
-        key = (msg.platform, msg.id) if mode == "by_id" else msg.text.strip()
+        if mode == "by_id":
+            key = (msg.platform, msg.id)
+        else:
+            # surrogatepass: a Message built in-process may hold a lone surrogate
+            key = blake2b(msg.text.strip().encode("utf-8", "surrogatepass"),
+                          digest_size=16).digest()
         if key in seen:
             continue
         seen.add(key)
@@ -306,8 +319,11 @@ def sample(
     """Uniform sample without replacement, order-preserving, seeded.
 
     Exactly one of ``rate``/``n`` must be given. ``rate`` draws an
-    independent Bernoulli per message (streaming, size is binomial);
-    ``n`` picks an exact-size subset and needs the whole population.
+    independent Bernoulli per message (streaming, size is binomial).
+    ``n`` picks an exact-size subset in one pass with reservoir sampling
+    (Vitter 1985, Algorithm R), holding at most ``n`` messages: message
+    ``i`` (from 0) past the first ``n`` replaces reservoir slot
+    ``rng.randrange(i + 1)`` when that is below ``n``.
     """
     if (rate is None) == (n is None):
         raise ValueError("give exactly one of rate or n")
@@ -316,12 +332,18 @@ def sample(
         if not 0 < rate <= 1:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
         return [msg for msg in msgs if rng.random() < rate]
-    population = list(msgs)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if n > len(population):
-        raise ValueError(
-            f"requested sample of {n} from population of {len(population)}"
-        )
-    chosen = sorted(rng.sample(range(len(population)), n))
-    return [population[i] for i in chosen]
+    reservoir = []  # (input position, message)
+    seen = 0
+    for seen, msg in enumerate(msgs, start=1):
+        if seen <= n:
+            reservoir.append((seen, msg))
+        else:
+            slot = rng.randrange(seen)
+            if slot < n:
+                reservoir[slot] = (seen, msg)
+    if n > seen:
+        raise ValueError(f"requested sample of {n} from population of {seen}")
+    reservoir.sort(key=itemgetter(0))
+    return [msg for _, msg in reservoir]

@@ -87,7 +87,9 @@ def regex_match(query: TopicQuery, text: str) -> bool:
 def load_query(path) -> TopicQuery:
     """Read a query from JSON {name, keywords, regex, combine}.
 
-    ``combine`` defaults to whatever the populated fields allow.
+    ``keywords`` is a list of strings and the other fields are strings; a
+    missing or null field takes its default. ``combine`` defaults to
+    whatever the populated fields allow.
     """
     path = Path(path)
     with input_lines(path, "query") as lines:
@@ -96,7 +98,18 @@ def load_query(path) -> TopicQuery:
         record = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path.name}: malformed JSON: {exc}") from None
-    keywords = record.get("keywords") or []
+    if not isinstance(record, dict):
+        raise InputError(f"{path.name}: expected a JSON object, got {type(record).__name__}")
+    for key in ("name", "regex", "combine"):
+        if record.get(key) is not None and not isinstance(record[key], str):
+            raise InputError(f"{path.name}: {key} must be a string, "
+                             f"got {type(record[key]).__name__}")
+    keywords = record.get("keywords")
+    if keywords is None:
+        keywords = []
+    elif not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+        raise InputError(f"{path.name}: keywords must be a list of strings")
+    name = record.get("name")
     regex = record.get("regex")
     combine = record.get("combine")
     if combine is None:
@@ -106,12 +119,15 @@ def load_query(path) -> TopicQuery:
             combine = "regex_only"
         else:
             combine = "keywords_only"
-    return TopicQuery(
-        name=record.get("name", path.stem),
-        keywords=frozenset(keywords),
-        regex=regex,
-        combine=combine,
-    )
+    try:
+        return TopicQuery(
+            name=path.stem if name is None else name,
+            keywords=frozenset(keywords),
+            regex=regex,
+            combine=combine,
+        )
+    except InputError as exc:  # the query's own rules, named with the file like the rest
+        raise InputError(f"{path.name}: {exc}") from None
 
 
 # shipped query files, plus the query names they define as aliases

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..constants import LABELS
@@ -75,10 +76,11 @@ def prepare_annotation_set(
     Deterministic under a fixed seed; fails if the query matches nothing.
     """
     on_topic = (m for m in msgs if query.matches(m.text))
-    unique = list(dedup(on_topic, mode="by_exact_text"))
-    if not unique:
+    unique = dedup(on_topic, mode="by_exact_text")
+    first = next(unique, None)
+    if first is None:
         raise InputError(f"query {query.name!r} selected no messages")
-    return sample(unique, rate=rate, n=n, seed=seed)
+    return sample(chain([first], unique), rate=rate, n=n, seed=seed)
 
 
 def write_annotation_template(msgs: Sequence[Message], handle) -> int:

@@ -14,6 +14,7 @@ import logging
 import math
 import multiprocessing
 import os
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..exceptions import InputError
 from .data import LABEL_INDEX, LABELS, LabeledExample
-from .model import Hyperparams, StanceModel, predict_batch, train
+from .model import Hyperparams, StanceModel, label_corpus, train
 
 logger = logging.getLogger(__name__)
 
@@ -176,10 +177,15 @@ def report_from_labels(gold: Sequence[str], predicted: Sequence[str]) -> Evaluat
 
 
 def evaluate(model: StanceModel, test: Sequence[LabeledExample]) -> EvaluationReport:
+    """Report of the model's labels for ``test``, classified ``PREDICT_BATCH`` at a time.
+
+    A text's label does not depend on its batch, so the report equals that
+    of one ``predict_batch`` over the whole set, in bounded memory.
+    """
     if not test:
         raise InputError("empty evaluation set")
     gold = [ex.label for ex in test]
-    predicted = [label for label, _ in predict_batch(model, [ex.text for ex in test])]
+    predicted = [label for _, label, _ in label_corpus(model, test)]
     return report_from_labels(gold, predicted)
 
 
@@ -193,8 +199,10 @@ class CrossValidationResult:
 
 
 def _shuffled(items: list, seed: int) -> list:
-    """``items`` in the order of one seeded permutation."""
-    return [items[i] for i in np.random.default_rng(seed).permutation(len(items))]
+    """A copy of ``items`` in the order ``random.Random(seed).shuffle`` gives."""
+    items = list(items)
+    random.Random(seed).shuffle(items)
+    return items
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float | None, float | None]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -37,6 +38,8 @@ MODEL_FORMAT_VERSION = 2
 
 # initial_rows fills this many rows at a time, so its temporaries stay small
 INIT_BLOCK_ROWS = 1024
+# train featurizes its vocabulary this many words at a time, for the same reason
+FEATURIZE_BLOCK_WORDS = 256
 # distinct words whose feature sums a model keeps for predict; emptied when full
 PREDICT_CACHE_WORDS = 1 << 15
 # messages label_corpus reads ahead and labels with one predict_batch call
@@ -233,8 +236,9 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     """Train a classifier on labeled examples.
 
     Deterministic for a fixed seed: the initial vectors come from
-    ``initial_rows`` and the epoch shuffles from one generator. Only the
-    embedding rows some example touches are allocated.
+    ``initial_rows``, and each epoch visits the examples in the order that
+    ``random.Random(seed).shuffle`` gives ``range(n)``, one generator for all
+    epochs. Only the embedding rows some example touches are allocated.
     """
     hp = hp or Hyperparams()
     examples = list(examples)
@@ -250,10 +254,18 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
         tokenized.append(words)
         for word in words:
             vocab.setdefault(word, len(vocab))
-    rows, counts = featurize(list(vocab), vocab, hp)
-    features = dict(zip(vocab, np.split(rows, np.cumsum(counts)[:-1])))
+    vocab_words = list(vocab)
+    blocks = [featurize(vocab_words[start : start + FEATURIZE_BLOCK_WORDS], vocab, hp)
+              for start in range(0, len(vocab_words), FEATURIZE_BLOCK_WORDS)]
+    empty = [np.empty(0, np.int64)]
+    vocab_rows = np.concatenate([block_rows for block_rows, _ in blocks] or empty)
+    counts = np.concatenate([block_counts for _, block_counts in blocks] or empty)
+    # every vocabulary word occurs in some example, so its rows are the touched rows;
+    # the inverse maps each global row id to its index among them, in sorted order
+    touched, local = np.unique(vocab_rows, return_inverse=True)
+    features = dict(zip(vocab_words, np.split(local, np.cumsum(counts)[:-1])))
 
-    # per example: its unique feature rows and, as a float32 column, their weights
+    # per example: its unique local rows and, as a float32 column, their weights
     compressed = []
     label_ids = []
     for ex, words in zip(examples, tokenized):
@@ -264,13 +276,7 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
             compressed.append(None)
         label_ids.append(LABELS.index(ex.label))
 
-    # global row ids -> local indices into the touched rows
-    touched = np.unique(np.concatenate(
-        [pair[0] for pair in compressed if pair is not None] or [np.empty(0, np.int64)]))
-    compressed = [None if pair is None else (np.searchsorted(touched, pair[0]), pair[1])
-                  for pair in compressed]
-
-    rng = np.random.default_rng(hp.seed)
+    rng = random.Random(hp.seed)
     E = initial_rows(hp.seed, touched, hp.dim)
     W = np.zeros((len(LABELS), hp.dim), dtype=np.float32)
     b = np.zeros(len(LABELS), dtype=np.float32)
@@ -280,9 +286,10 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     done = 0
     loss_history = []
     for _ in range(hp.epochs):
-        order = rng.permutation(n)
+        order = list(range(n))
+        rng.shuffle(order)
         epoch_loss = 0.0
-        for idx in order.tolist():
+        for idx in order:
             lr = hp.lr * (1 - done / total_updates)
             done += 1
             pair = compressed[idx]
@@ -291,7 +298,7 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
             epoch_loss += _sgd_step(E, W, b, pair[0], pair[1], label_ids[idx], lr)
         loss_history.append(epoch_loss / n)
 
-    model = StanceModel(hyperparams=hp, vocab=list(vocab), rows=touched, E=E, W=W, b=b)
+    model = StanceModel(hyperparams=hp, vocab=vocab_words, rows=touched, E=E, W=W, b=b)
     model.loss_history = loss_history
     logger.info("trained on %d examples, %d embedding rows, final epoch loss %.4f",
                 n, len(touched), loss_history[-1])
@@ -379,9 +386,9 @@ def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, n
 
 
 def label_corpus(
-    model: StanceModel, msgs: Iterable[Message]
-) -> Iterator[tuple[Message, str, np.ndarray]]:
-    """Predict a stance for each message, PREDICT_BATCH at a time, preserving input order."""
+    model: StanceModel, msgs: Iterable[Message | LabeledExample]
+) -> Iterator[tuple[Message | LabeledExample, str, np.ndarray]]:
+    """Predict a stance for each message's text, PREDICT_BATCH at a time, in input order."""
     msgs = iter(msgs)
     while batch := list(islice(msgs, PREDICT_BATCH)):
         for msg, (label, probs) in zip(batch, predict_batch(model, [msg.text for msg in batch])):

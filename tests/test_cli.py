@@ -218,6 +218,30 @@ class TestImportCost:
                                 capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
 
+    def test_stance_training_never_imports_numpy_random(self):
+        # numpy.random costs memory in every process that trains, grid workers included
+        script = (
+            "import random, sys\n"
+            "from opinionpulse.stance import Hyperparams, evaluate, grid_search, train\n"
+            "from opinionpulse.stance.data import LABELS, LabeledExample\n"
+            "rng = random.Random(3)\n"
+            "words = {label: [f'{label}{i}' for i in range(5)] for label in LABELS}\n"
+            "examples = [LabeledExample(' '.join(rng.choices(words[label], k=3)), label)\n"
+            "            for label in LABELS * 20]\n"
+            "grid = [Hyperparams(dim=dim, epochs=2, lr=0.2, bucket=2000, seed=1)\n"
+            "        for dim in (10, 12)]\n"
+            "assert evaluate(train(examples, grid[0]), examples).n == len(examples)\n"
+            "assert grid_search(examples, grid, seed=1).best in grid\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n"
+        )
+        src = str(Path(opinionpulse.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+
     def test_process_pool_loaded_only_by_evaluation_commands(self, valid_runs, tmp_path):
         out = str(tmp_path / "out")
         runs = [[command, *valid_runs(command, f"{out}.{command}")]
@@ -347,6 +371,23 @@ class TestExitCodes:
                 "--out", str(tmp_path / "scored.csv")]
         assert main(argv) == 2
         assert "score out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, reason", [
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('{"keywords": 5}', "keywords must be a list of strings"),
+        ('{"keywords": ["a", 5]}', "keywords must be a list of strings"),
+        ('{"keywords": ["a"], "regex": 7}', "regex must be a string, got int"),
+        ('{"keywords": ["a"], "name": ["q"]}', "name must be a string, got list"),
+        ('{"keywords": ["a"], "combine": 1.5}', "combine must be a string, got float"),
+    ])
+    def test_query_field_of_wrong_type_exits_two(self, document, reason, corpus, tmp_path,
+                                                 capsys):
+        query = tmp_path / "q.json"
+        query.write_text(document, encoding="utf-8")
+        argv = ["filter", "--query", str(query), "--in", str(corpus),
+                "--out", str(tmp_path / "o.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: q.json: {reason}\n"
 
     def test_value_error_maps_to_two(self, tmp_path, capsys):
         first = tmp_path / "a.tsv"

@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import random
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -293,6 +294,20 @@ class TestDedup:
         msgs += [msg(f"tekst {i}", id=f"b{i}") for i in range(20)]
         assert len(list(dedup(msgs, mode="by_exact_text"))) == 80
 
+    def test_by_exact_text_keys_on_trimmed_text_with_surrogates(self):
+        # ingest rejects surrogates, but a Message built in-process may hold one
+        msgs = [msg("\ud800 abc", id="1"), msg(" \ud800 abc\n", id="2"), msg("\udc00 abc", id="3")]
+        assert [m.id for m in dedup(msgs, mode="by_exact_text")] == ["1", "3"]
+
+    def test_by_exact_text_holds_digests_not_texts(self):
+        long_texts = (msg(f"{i:05d} " + "x" * 2_000, id=str(i)) for i in range(2_000))
+        tracemalloc.start()
+        kept = sum(1 for _ in dedup(long_texts, mode="by_exact_text"))
+        _, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert kept == 2_000
+        assert peak_bytes < 1_000_000  # the texts alone are 4 MB
+
     @given(st.lists(st.sampled_from(["aap", "noot", "mies", "wim"]), max_size=30))
     def test_idempotent(self, texts):
         msgs = [msg(t, id=str(i)) for i, t in enumerate(texts)]
@@ -313,6 +328,46 @@ class TestSample:
         assert len(first) == 3
         positions = [msgs.index(m) for m in first]
         assert positions == sorted(positions)
+
+    @staticmethod
+    def algorithm_r(items, n, seed):
+        """The documented rule, by hand: position i >= n replaces slot randrange(i + 1) < n."""
+        rng = random.Random(seed)
+        slots = list(range(min(n, len(items))))
+        for i in range(n, len(items)):
+            j = rng.randrange(i + 1)
+            if j < n:
+                slots[j] = i
+        return [items[i] for i in sorted(slots)]
+
+    @pytest.mark.parametrize("size, n", [(10, 3), (10, 10), (10, 0), (50, 1), (50, 49)])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_exact_n_is_algorithm_r_over_one_pass(self, size, n, seed):
+        msgs = make_messages([f"t{i}" for i in range(size)])
+        assert sample(iter(msgs), n=n, seed=seed) == self.algorithm_r(msgs, n, seed)
+
+    def test_exact_n_is_uniform_over_positions(self):
+        size, n, runs = 20, 5, 2_000
+        msgs = make_messages([f"t{i}" for i in range(size)])
+        hits = {m.id: 0 for m in msgs}
+        for seed in range(runs):
+            for m in sample(msgs, n=n, seed=seed):
+                hits[m.id] += 1
+        p = n / size
+        sigma = (runs * p * (1 - p)) ** 0.5
+        assert all(abs(count - runs * p) < 5 * sigma for count in hits.values())
+
+    def test_exact_n_holds_n_messages_not_the_population(self):
+        def peak(population):
+            stream = (msg(f"bericht {i}", id=str(i)) for i in range(population))
+            tracemalloc.start()
+            picked = sample(stream, n=100, seed=1)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert len(picked) == 100
+            return peak_bytes
+
+        assert peak(20_000) < 2 * peak(2_000) + 64_000
 
     def test_n_too_large_names_both_numbers(self):
         msgs = make_messages(["a", "b"])

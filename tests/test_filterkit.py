@@ -131,6 +131,34 @@ class TestBuiltinQueries:
         path.write_text('{"name": "x", "keywords": ["a"], "regex": "b"}', encoding="utf-8")
         assert load_query(path).combine == "keywords_or_regex"
 
+    def test_load_query_null_fields_take_defaults(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"name": null, "keywords": null, "regex": "b", "combine": null}',
+                        encoding="utf-8")
+        query = load_query(path)
+        assert (query.name, query.keywords, query.combine) == ("q", frozenset(), "regex_only")
+
+    @pytest.mark.parametrize("document, reason", [
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('"corona"', "expected a JSON object, got str"),
+        ('{"keywords": 5}', "keywords must be a list of strings"),
+        ('{"keywords": "corona"}', "keywords must be a list of strings"),
+        ('{"keywords": ["a", null]}', "keywords must be a list of strings"),
+        ('{"keywords": ["a"], "regex": 7}', "regex must be a string, got int"),
+        ('{"keywords": ["a"], "name": 3}', "name must be a string, got int"),
+        ('{"keywords": ["a"], "combine": ["keywords_only"]}', "combine must be a string, got list"),
+        ('{"keywords": []}', "query 'q' has neither keywords nor regex"),
+        ('{"keywords": ["a"], "combine": "fuzzy"}', "unknown combine mode 'fuzzy'"),
+        ('{"regex": "a", "combine": "keywords_or_regex"}',
+         "query 'q' needs keywords for mode keywords_or_regex"),
+    ])
+    def test_load_query_names_file_and_reason(self, document, reason, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_query(path)
+        assert str(info.value) == f"q.json: {reason}"
+
 
 class TestSplitCorpus:
     def test_partition_sizes(self):

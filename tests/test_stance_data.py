@@ -129,6 +129,11 @@ class TestPrepareAnnotationSet:
             buffers.append(buffer.getvalue())
         assert buffers[0] == buffers[1]
 
+    def test_sample_larger_than_selection_names_both_numbers(self):
+        msgs = iter(make_messages(["corona een", "niets", "corona twee", "corona een"]))
+        with pytest.raises(ValueError, match="requested sample of 3 from population of 2"):
+            prepare_annotation_set(msgs, QUERY, n=3, seed=1)
+
     def test_empty_selection_names_query(self):
         msgs = make_messages(["niets relevants", "nog steeds niets"])
         with pytest.raises(InputError, match="query 'pandemic' selected no messages"):

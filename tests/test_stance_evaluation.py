@@ -22,8 +22,10 @@ from opinionpulse.stance import (
     train,
 )
 from opinionpulse.stance import evaluation
+from opinionpulse.stance import model as model_module
 from opinionpulse.stance.data import LABELS, LabeledExample
 from opinionpulse.stance.evaluation import GridRow, GridSearchResult
+from opinionpulse.stance.model import PREDICT_BATCH
 
 FAST = Hyperparams(dim=16, epochs=25, lr=0.3, bucket=2000, seed=42)
 
@@ -191,6 +193,33 @@ class TestEvaluate:
         assert report.accuracy == 1.0
         assert report.fraction_score == 1.0
 
+    def test_classifies_in_batches_with_the_whole_set_report(self, monkeypatch):
+        examples = make_separable(150, seed=4, noise=0.2)
+        known = sorted({word for ex in examples for word in ex.text.split()})
+        rng = random.Random(6)
+        # a long tail: most words are new, so most of their n-gram rows are fresh
+        test = []
+        for i in range(3 * PREDICT_BATCH + 5):
+            words = rng.sample(known, 2) + ["".join(rng.choices("abcdefghijklmnop", k=6))
+                                            for _ in range(rng.randint(0, 4))]
+            test.append(LabeledExample(" ".join(words), LABELS[i % 3]))
+        whole = [label for label, _ in model_module.predict_batch(
+            train(examples, FAST), [ex.text for ex in test])]
+        expected = report_from_labels([ex.label for ex in test], whole)
+
+        sizes = []
+        predict_batch = model_module.predict_batch
+
+        def spy(model, texts):
+            sizes.append(len(texts))
+            return predict_batch(model, texts)
+
+        monkeypatch.setattr(model_module, "predict_batch", spy)
+        report = evaluate(train(examples, FAST), test)
+        assert sum(sizes) == len(test) and max(sizes) <= PREDICT_BATCH
+        assert report == expected
+        assert 0 < report.accuracy < 1
+
     def test_empty_test_set(self):
         examples = make_separable(60, seed=4)
         model = train(examples, FAST)
@@ -255,7 +284,8 @@ MIDDLE = Hyperparams(dim=12, epochs=3, lr=0.1, bucket=2000, seed=42)
 def retrain_reference(examples, grid, objective, seed):
     """Grid search that scores each config, then retrains the winner for the test slice."""
     n = len(examples)
-    shuffled = [examples[i] for i in np.random.default_rng(seed).permutation(n)]
+    shuffled = list(examples)
+    random.Random(seed).shuffle(shuffled)
     i1, i2 = round(0.8 * n), round(0.9 * n)
     train_set, val_set, test_set = shuffled[:i1], shuffled[i1:i2], shuffled[i2:]
     rows, best = [], None
@@ -369,18 +399,19 @@ class TestLearningCurve:
             assert larger >= smaller - 0.02
 
     def test_single_point_matches_documented_derivation(self):
-        examples = make_separable(150, seed=8)
+        # noisy labels, so that another shuffle rule would give another accuracy
+        examples = make_separable(150, seed=8, noise=0.3)
         seed, size, test_size = 5, 100, 50
         points = learning_curve(
             examples, FAST, train_sizes=(size,), repeats=1, seed=seed, test_size=test_size,
         )
 
-        order = np.random.default_rng(seed).permutation(len(examples))
-        shuffled = [examples[i] for i in order]
+        shuffled = list(examples)
+        random.Random(seed).shuffle(shuffled)
         test_set = shuffled[-test_size:]
         pool = shuffled[:-test_size]
-        rep_order = np.random.default_rng(seed + 1).permutation(len(pool))
-        model = train([pool[i] for i in rep_order][:size], FAST)
+        random.Random(seed + 1).shuffle(pool)
+        model = train(pool[:size], FAST)
         report = evaluate(model, test_set)
 
         assert points[0].mean_accuracy == report.accuracy
