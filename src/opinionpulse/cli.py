@@ -30,8 +30,6 @@ from pathlib import Path
 from . import __version__
 from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, STANCE_BUCKETS, TOY_LEXICON
 from .exceptions import InputError
-# the one command function bound here, so a caller can replace cli.kappa
-from .stance.agreement import kappa
 from .stance.params import DIM_RANGE, EPOCHS_RANGE, LR_RANGE, Hyperparams, grid_hyperparams
 
 logger = logging.getLogger(__name__)
@@ -229,10 +227,9 @@ def cmd_expand_query(args) -> dict:
     from . import corpus, filterkit
     query = filterkit.load_query(args.query)
     stream = corpus.ingest(args.infile, fmt=args.format)
-    report = filterkit.expand_query(query, stream, rounds=args.rounds, top_k=args.top_k,
-                                    min_count=args.min_count)
+    report = filterkit.expand_query(query, stream, top_k=args.top_k, min_count=args.min_count)
     _write_json(args.out, report.to_dict())
-    return {"query": query.name, "rounds": args.rounds, "rejected_lines": stream.stats.rejected}
+    return {"query": query.name, "rejected_lines": stream.stats.rejected}
 
 
 def cmd_sentiment(args) -> dict:
@@ -303,8 +300,8 @@ def cmd_annotate_sample(args) -> dict:
 
 
 def cmd_kappa(args) -> dict:
-    from .stance import data
-    report = kappa(data.read_label_column(args.a), data.read_label_column(args.b))
+    from .stance import agreement, data
+    report = agreement.kappa(data.read_label_column(args.a), data.read_label_column(args.b))
     print(f"kappa={report.kappa!r}")
     print(f"observed_agreement={report.observed_agreement!r}")
     print(f"expected_agreement={report.expected_agreement!r}")
@@ -462,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank candidate query terms by collocation t-score")
     _add_corpus_flags(p)
     _add_query_flags(p)
-    p.add_argument("--rounds", type=_positive_int, default=1, help="ranking rounds (default 1)")
     p.add_argument("--top-k", type=_positive_int, default=20,
                    help="candidates per round (default 20)")
     p.add_argument("--min-count", type=_positive_int, default=5,

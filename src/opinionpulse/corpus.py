@@ -168,9 +168,20 @@ def _message_from_json(line: str) -> Message:
         raise ValueError(f"missing field {exc.args[0]}") from None
     if not isinstance(text, str):
         raise ValueError("text is not a string")
-    msg_id = str(msg_id)
-    lang = str(record.get("lang", "und"))
-    platform = str(record.get("platform", "twitter"))
+    if not isinstance(msg_id, str):
+        if not isinstance(msg_id, int) or isinstance(msg_id, bool):
+            raise ValueError("id is not a string or an integer")
+        msg_id = str(msg_id)
+    # a missing or null lang, platform or retweet takes its default
+    lang, platform, repost = record.get("lang"), record.get("platform"), record.get("retweet")
+    if lang is None:
+        lang = "und"
+    if platform is None:
+        platform = "twitter"
+    if not isinstance(lang, str) or not isinstance(platform, str):
+        raise ValueError(f"{'platform' if isinstance(lang, str) else 'lang'} is not a string")
+    if not (repost is None or isinstance(repost, bool)):
+        raise ValueError("retweet is not true or false")
     _check_decoded(id=msg_id, text=text, lang=lang, platform=platform)
     return Message(
         id=msg_id,
@@ -178,7 +189,7 @@ def _message_from_json(line: str) -> Message:
         text=text,
         lang=lang,
         platform=platform,
-        is_repost=bool(record.get("retweet", False)),
+        is_repost=repost is True,
     )
 
 

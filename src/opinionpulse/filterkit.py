@@ -157,19 +157,6 @@ def iter_partition(msgs: Iterable[Message], query: TopicQuery) -> Iterator[tuple
         yield msg, query.matches(msg.text)
 
 
-def split_corpus(msgs: Iterable[Message], query: TopicQuery) -> tuple[list[Message], list[Message]]:
-    """Partition a corpus into (matched, unmatched) lists.
-
-    Every input message lands in exactly one output; order is preserved
-    on both sides. For file-to-file streaming use :func:`iter_partition`.
-    """
-    matched: list[Message] = []
-    unmatched: list[Message] = []
-    for msg, hit in iter_partition(msgs, query):
-        (matched if hit else unmatched).append(msg)
-    return matched, unmatched
-
-
 @dataclass(frozen=True)
 class CollocationStats:
     """Per-token comparison of the matched vs unmatched sub-corpus."""

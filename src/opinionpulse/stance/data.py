@@ -2,7 +2,7 @@
 
 Label files are TSV, one example per line: label<TAB>text, labels
 lowercase. Annotation templates are the same format with an empty label
-column, ready for a human to fill in.
+column, ready for a human to fill in, and a line break in a text as a space.
 """
 
 from __future__ import annotations
@@ -84,9 +84,10 @@ def prepare_annotation_set(
 
 
 def write_annotation_template(msgs: Sequence[Message], handle) -> int:
-    """Emit empty-label TSV rows for annotators."""
+    """Emit empty-label TSV rows for annotators, one line per message."""
     for msg in msgs:
-        handle.write(f"\t{msg.text}\n")
+        text = msg.text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+        handle.write(f"\t{text}\n")
     return len(msgs)
 
 

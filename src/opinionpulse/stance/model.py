@@ -29,8 +29,8 @@ from ..corpus import Message
 from ..exceptions import InputError
 from ..tokenization import tokenize
 from .data import LABELS, LabeledExample
-# Hyperparams and the grid helpers live in params, which the CLI imports without numpy
-from .params import DIM_RANGE, EPOCHS_RANGE, LR_RANGE, Hyperparams, grid_hyperparams
+# Hyperparams lives in params, which the CLI imports without numpy
+from .params import Hyperparams
 
 logger = logging.getLogger(__name__)
 

@@ -6,7 +6,7 @@ defaults come from ``Hyperparams()``) without loading the model code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Sequence
 
@@ -40,15 +40,7 @@ class Hyperparams:
             raise ValueError("bucket must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "char_ngram_min": self.char_ngram_min,
-            "char_ngram_max": self.char_ngram_max,
-            "bucket": self.bucket,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def grid_hyperparams(

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -293,8 +294,9 @@ def annotate_events(
 ) -> AnnotatedSeries:
     """Attach events to the bucket containing their date.
 
-    Events before the first bucket or past the end of the last one are
-    returned under out_of_range rather than dropped.
+    The points of ``series`` come in bucket order. Events before the first
+    bucket or past the end of the last one are returned under out_of_range
+    rather than dropped.
     """
     points = tuple(series)
     markers: dict = {}
@@ -306,8 +308,7 @@ def annotate_events(
             out_of_range.append(event)
             continue
         # latest bucket starting on or before the event date
-        idx = max(i for i, start in enumerate(starts) if start <= event.date)
-        key = points[idx].bucket
+        key = points[bisect_right(starts, event.date) - 1].bucket
         markers[key] = markers.get(key, ()) + (event.label,)
     return AnnotatedSeries(markers=markers, out_of_range=tuple(out_of_range))
 

@@ -276,7 +276,7 @@ class TestImportFootprint:
         "assert not loaded, loaded\n"
     )
     LIBRARY = {"corpus", "tokenization", "filterkit", "polarity", "timeseries",
-               "stance.data", "stance.model", "stance.evaluation"}
+               "stance.agreement", "stance.data", "stance.model", "stance.evaluation"}
     NO_STANCE = {"stance.data", "stance.model", "stance.evaluation"}
     # modules a command never calls, so must not load
     FORBIDDEN = {
@@ -876,6 +876,27 @@ class TestAnnotateAndKappa:
         assert len(lines) == 2
         assert all(line.startswith("\t") for line in lines)
 
+    def test_line_break_in_text_keeps_one_template_line(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [msg("corona eerste regel\ntweede regel", id="m1"),
+                            msg("corona\r\nzonder\rpauze", id="m2"),
+                            msg("corona gewoon", id="m3")])
+        template = tmp_path / "todo.tsv"
+        argv = ["annotate-sample", "--builtin", "pandemic", "--in", str(path),
+                "--rate", "1.0", "--out", str(template)]
+        assert main(argv) == 0
+        assert template.read_bytes() == (b"\tcorona eerste regel tweede regel\n"
+                                         b"\tcorona zonder pauze\n\tcorona gewoon\n")
+
+        filled = tmp_path / "done.tsv"
+        filled.write_text("".join(f"{label}{row}\n" for label, row in
+                                  zip(LABELS, template.read_text(encoding="utf-8").splitlines())),
+                          encoding="utf-8")
+        assert main(["kappa", "--a", str(filled), "--b", str(filled)]) == 0
+        assert "n=3" in capsys.readouterr().out.splitlines()
+        argv = ["train", "--labels", str(filled), "--out", str(tmp_path / "m.bin")]
+        assert main(argv + FAST_MODEL_FLAGS) == 0
+
     def test_same_seed_same_sample(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_corpus(path, [msg(f"corona bericht {i}", id=f"m{i}") for i in range(40)])
@@ -1192,20 +1213,15 @@ class TestExpandQuery:
         write_corpus(path, [msg(t, id=f"m{i}") for i, t in enumerate(texts)])
         query = tmp_path / "q.json"
         query.write_text('{"name": "afstand", "keywords": ["afstand"]}', encoding="utf-8")
-        argv = ["expand-query", "--query", str(query), "--in", str(path),
-                "--rounds", "2", "--top-k", "5"]
+        argv = ["expand-query", "--query", str(query), "--in", str(path), "--top-k", "5"]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"query", "rounds"}
         assert report["query"] == "afstand"
-        assert len(report["rounds"]) == 2
+        # the query never changes within a run, so there is one ranking
+        assert len(report["rounds"]) == 1
         assert report["rounds"][0][0]["token"] == "meter"
-        assert report["rounds"][0] == report["rounds"][1]
-
-    def test_rounds_validation(self, corpus, tmp_path):
-        query = tmp_path / "q.json"
-        query.write_text('{"name": "x", "keywords": ["corona"]}', encoding="utf-8")
-        argv = ["expand-query", "--query", str(query), "--in", str(corpus), "--rounds", "0"]
-        assert main(argv) == 1
+        assert len(report["rounds"][0]) == 5
 
 
 class TestRunLog:
@@ -1341,12 +1357,12 @@ class TestLoggingScope:
 
     def test_main_restores_logger_state_on_exception(self, embedded_logger, tmp_path,
                                                      monkeypatch):
-        import opinionpulse.cli as cli
+        from opinionpulse.stance import agreement
 
         def boom(a, b):
             raise RuntimeError("boem")
 
-        monkeypatch.setattr(cli, "kappa", boom)
+        monkeypatch.setattr(agreement, "kappa", boom)
         labels = tmp_path / "a.tsv"
         labels.write_text("supports\tx\n", encoding="utf-8")
         before = _logger_state()

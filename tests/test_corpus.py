@@ -212,6 +212,39 @@ class TestIngest:
         [warning] = [rec.getMessage() for rec in caplog.records]
         assert warning.startswith(f"c.{fmt} line 1 rejected: bad timestamp: ")
 
+    @staticmethod
+    def ingest_fields(tmp_path, caplog, *extras):
+        """Ingest one line per dict in ``extras``, each merged into a valid record."""
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": "1", "created_at": "2020-03-12T15:00:00Z", "text": "x", **extra})
+            + "\n" for extra in extras), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="opinionpulse.corpus"):
+            msgs = list(ingest(path))
+        return msgs, [rec.getMessage().partition("rejected: ")[2] for rec in caplog.records]
+
+    def test_retweet_is_true_or_false(self, tmp_path, caplog):
+        msgs, reasons = self.ingest_fields(
+            tmp_path, caplog, {"retweet": True}, {"retweet": False}, {"retweet": None}, {},
+            {"retweet": "false"}, {"retweet": 1}, {"retweet": 0})
+        assert [m.is_repost for m in msgs] == [True, False, False, False]
+        assert reasons == ["retweet is not true or false"] * 3
+
+    def test_null_lang_and_platform_take_their_defaults(self, tmp_path, caplog):
+        msgs, reasons = self.ingest_fields(
+            tmp_path, caplog, {"lang": None, "platform": None}, {"lang": "NL"},
+            {"lang": 5}, {"platform": ["twitter"]})
+        assert [(m.lang, m.platform) for m in msgs] == [("und", "twitter"), ("nl", "twitter")]
+        assert len(list(filter_lang(msgs, "nl"))) == 2
+        assert reasons == ["lang is not a string", "platform is not a string"]
+
+    def test_id_is_a_string_or_an_integer(self, tmp_path, caplog):
+        msgs, reasons = self.ingest_fields(
+            tmp_path, caplog, {"id": "7"}, {"id": 8}, {"id": [1, 2]}, {"id": True},
+            {"id": 1.5}, {"id": None})
+        assert [m.id for m in msgs] == ["7", "8"]
+        assert reasons == ["id is not a string or an integer"] * 4
+
 
 class TestRoundTrip:
     def test_field_for_field(self, tmp_path):

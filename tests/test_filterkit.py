@@ -14,11 +14,11 @@ from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import (
     TopicQuery,
     expand_query,
+    iter_partition,
     keyword_match,
     load_builtin_query,
     load_query,
     regex_match,
-    split_corpus,
     tscore,
     tscore_rank,
 )
@@ -158,6 +158,14 @@ class TestBuiltinQueries:
         with pytest.raises(InputError) as info:
             load_query(path)
         assert str(info.value) == f"q.json: {reason}"
+
+
+def split_corpus(msgs, query):
+    """Reference partition into (matched, unmatched) lists, in input order."""
+    matched, unmatched = [], []
+    for msg, hit in iter_partition(msgs, query):
+        (matched if hit else unmatched).append(msg)
+    return matched, unmatched
 
 
 class TestSplitCorpus:

@@ -492,6 +492,15 @@ class TestEvents:
         annotated = annotate_events(series, events)
         assert annotated.markers[date(2020, 3, 1)] == ("a", "b")
 
+    def test_event_in_hour_buckets_goes_to_the_last_bucket_of_its_date(self):
+        hours = [datetime(2020, 3, 1, 9, tzinfo=UTC), datetime(2020, 3, 1, 17, tzinfo=UTC),
+                 datetime(2020, 3, 3, 8, tzinfo=UTC), datetime(2020, 3, 3, 12, tzinfo=UTC),
+                 datetime(2020, 3, 4, 10, tzinfo=UTC)]
+        series = [SeriesPoint(bucket=hour, value=1.0, n=1) for hour in hours]
+        events = [Event(date=date(2020, 3, d), label=f"d{d}") for d in (1, 2, 3)]
+        annotated = annotate_events(series, events, bucket="hour")
+        assert annotated.markers == {hours[1]: ("d1", "d2"), hours[3]: ("d3",)}
+
 
 class TestCsvRoundTrips:
     def test_frequency_schema(self, tmp_path):
