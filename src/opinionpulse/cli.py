@@ -172,6 +172,9 @@ _tz = _flag_type(_parse_tz, "an offset such as +01:00")
 _builtin_query = _flag_type(_builtin_query_path, "a shipped query name")
 _int_list = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
                        "a comma-separated list of integers", bool)
+_TZ_FLAG = {"type": _tz, "default": DEFAULT_TZ_OFFSET,
+            "help": f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
+                    "give a negative one as --tz=-05:30"}
 
 
 def _list_within(convert, low, high):
@@ -301,7 +304,7 @@ def cmd_annotate_sample(args) -> dict:
 
 def cmd_kappa(args) -> dict:
     from .stance import agreement, data
-    report = agreement.kappa(data.read_label_column(args.a), data.read_label_column(args.b))
+    report = agreement.kappa(*data.read_paired_labels(args.a, args.b))
     print(f"kappa={report.kappa!r}")
     print(f"observed_agreement={report.observed_agreement!r}")
     print(f"expected_agreement={report.expected_agreement!r}")
@@ -486,9 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
                    help="corpus format for --kind frequency (default jsonl)")
     p.add_argument("--bucket", choices=FREQUENCY_BUCKETS, default="day")
-    p.add_argument("--tz", type=_tz, default=DEFAULT_TZ_OFFSET,
-                   help=f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
-                        "give a negative one as --tz=-05:30")
+    p.add_argument("--tz", **_TZ_FLAG)
     p.add_argument("--out", type=_output_file, required=True, help="series CSV")
     p.add_argument("--ma", type=_positive_int,
                    help="moving-average window (emits bucket,mean,n)")
@@ -570,9 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", type=_input_file, required=True,
                    help="labeled JSONL from predict")
     p.add_argument("--bucket", choices=STANCE_BUCKETS, default="day")
-    p.add_argument("--tz", type=_tz, default=DEFAULT_TZ_OFFSET,
-                   help=f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
-                        "give a negative one as --tz=-05:30")
+    p.add_argument("--tz", **_TZ_FLAG)
     p.add_argument("--out", type=_output_file, required=True, help="stance CSV")
     p.set_defaults(func=cmd_stance_series)
 

@@ -326,11 +326,11 @@ def sample(
     rate: float | None = None,
     n: int | None = None,
     seed: int,
-) -> list[Message]:
+) -> Iterable[Message]:
     """Uniform sample without replacement, order-preserving, seeded.
 
-    Exactly one of ``rate``/``n`` must be given. ``rate`` draws an
-    independent Bernoulli per message (streaming, size is binomial).
+    Exactly one of ``rate``/``n`` must be given, checked at the call. ``rate``
+    streams: one independent Bernoulli per message as it is consumed (size is binomial).
     ``n`` picks an exact-size subset in one pass with reservoir sampling
     (Vitter 1985, Algorithm R), holding at most ``n`` messages: message
     ``i`` (from 0) past the first ``n`` replaces reservoir slot
@@ -342,7 +342,7 @@ def sample(
     if rate is not None:
         if not 0 < rate <= 1:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
-        return [msg for msg in msgs if rng.random() < rate]
+        return (msg for msg in msgs if rng.random() < rate)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     reservoir = []  # (input position, message)

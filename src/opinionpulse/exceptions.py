@@ -1,5 +1,6 @@
 """Exception types shared across the pipeline, and the one reader of input files."""
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -51,3 +52,13 @@ def input_lines(path, kind: str):
         if not isinstance(exc, (ValueError, csv.Error)):
             raise
         raise InputError(f"{path.name}: {exc}, line {lineno}") from None
+
+
+def input_json(path, kind: str):
+    """Decode the ``kind`` file at ``path``, read by ``input_lines``, as one JSON document."""
+    with input_lines(path, kind) as lines:
+        text = "".join(lines)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{Path(path).name}: malformed JSON: {exc}") from None

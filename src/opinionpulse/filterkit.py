@@ -9,7 +9,6 @@ for a human to judge; it never grows the query on its own.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -19,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .constants import DATA_DIR
 from .corpus import Message
-from .exceptions import InputError, input_lines
+from .exceptions import InputError, input_json
 from .tokenization import normalize_counts
 
 COMBINE_MODES = ("keywords_only", "regex_only", "keywords_or_regex")
@@ -92,12 +91,7 @@ def load_query(path) -> TopicQuery:
     whatever the populated fields allow.
     """
     path = Path(path)
-    with input_lines(path, "query") as lines:
-        text = "".join(lines)
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path.name}: malformed JSON: {exc}") from None
+    record = input_json(path, "query")
     if not isinstance(record, dict):
         raise InputError(f"{path.name}: expected a JSON object, got {type(record).__name__}")
     for key in ("name", "regex", "combine"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..constants import LABELS
@@ -49,18 +50,14 @@ def read_labeled_tsv(path) -> list[LabeledExample]:
     return examples
 
 
-def read_label_column(path) -> list[str]:
-    """First column of a TSV as a label sequence (for agreement checks)."""
-    labels = []
-    with input_lines(path, "label") as lines:
-        for line in lines:
-            if not line.strip():
-                continue
-            label = line.split("\t", 1)[0].strip().lower()
-            if not label:
-                raise ValueError("empty label")
-            labels.append(label)
-    return labels
+def read_paired_labels(path_a, path_b) -> tuple[list[str], list[str]]:
+    """Two annotators' labels for the same texts in the same order; kappa checks the lengths."""
+    a, b = read_labeled_tsv(path_a), read_labeled_tsv(path_b)
+    for number, (x, y) in enumerate(zip(a, b), start=1):
+        if x.text != y.text:
+            raise InputError(f"{Path(path_a).name} and {Path(path_b).name} label different "
+                             f"texts, example {number}")
+    return [e.label for e in a], [e.label for e in b]
 
 
 def prepare_annotation_set(
@@ -70,10 +67,11 @@ def prepare_annotation_set(
     rate: float | None = None,
     n: int | None = None,
     seed: int,
-) -> list[Message]:
+) -> Iterable[Message]:
     """Select messages for manual labeling: filter, dedup by text, sample.
 
     Deterministic under a fixed seed; fails if the query matches nothing.
+    Like ``corpus.sample``, returns a list for ``n`` and a one-pass iterator for ``rate``.
     """
     on_topic = (m for m in msgs if query.matches(m.text))
     unique = dedup(on_topic, mode="by_exact_text")
@@ -83,12 +81,13 @@ def prepare_annotation_set(
     return sample(chain([first], unique), rate=rate, n=n, seed=seed)
 
 
-def write_annotation_template(msgs: Sequence[Message], handle) -> int:
-    """Emit empty-label TSV rows for annotators, one line per message."""
-    for msg in msgs:
+def write_annotation_template(msgs: Iterable[Message], handle) -> int:
+    """Emit empty-label TSV rows for annotators, one line per message; return the count."""
+    count = 0
+    for count, msg in enumerate(msgs, start=1):
         text = msg.text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
         handle.write(f"\t{text}\n")
-    return len(msgs)
+    return count
 
 
 def probs_dict(labels: Sequence[str], probs) -> dict:

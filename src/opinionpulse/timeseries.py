@@ -10,7 +10,6 @@ meaningful. All series are sorted by bucket.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import re
@@ -21,11 +20,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, LABELS, STANCE_BUCKETS
-from .exceptions import InputError, input_lines
+from .exceptions import InputError, input_json, input_lines
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_TZ = timezone(timedelta(hours=1))
 
 # the widest span frequency_series fills, about 27 years (at most 240,000
 # hourly points); a wider one comes from a stray timestamp, not from a study
@@ -47,6 +44,9 @@ def parse_tz_offset(text: str) -> timezone:
     if hours > 23 or minutes > 59:
         raise InputError(f"bad timezone offset {text!r}, expected +HH:MM")
     return timezone(sign * timedelta(hours=hours, minutes=minutes))
+
+
+DEFAULT_TZ = parse_tz_offset(DEFAULT_TZ_OFFSET)
 
 
 @dataclass(frozen=True)
@@ -261,12 +261,7 @@ class Event:
 def load_events(path) -> list[Event]:
     """Read an events JSON file: a list of {date, label} objects."""
     name = Path(path).name
-    with input_lines(path, "events") as lines:
-        text = "".join(lines)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{name}: malformed JSON: {exc}") from None
+    raw = input_json(path, "events")
     if not isinstance(raw, list):
         raise InputError(f"{name}: expected a list of events")
     events = []
@@ -295,14 +290,14 @@ def annotate_events(
     """Attach events to the bucket containing their date.
 
     The points of ``series`` come in bucket order. Events before the first
-    bucket or past the end of the last one are returned under out_of_range
-    rather than dropped.
+    bucket or past the end of the last one (for hour buckets, past its
+    date) are returned under out_of_range rather than dropped.
     """
     points = tuple(series)
     markers: dict = {}
     out_of_range = []
     starts = [_bucket_date(p.bucket) for p in points]
-    end = _next_bucket(starts[-1], bucket) if points else None
+    end = _next_bucket(starts[-1], "day" if bucket == "hour" else bucket) if points else None
     for event in events:
         if not points or event.date < starts[0] or event.date >= end:
             out_of_range.append(event)

@@ -351,7 +351,7 @@ class TestDedup:
 class TestSample:
     def test_rate_one_is_identity(self):
         msgs = make_messages([f"t{i}" for i in range(1000)])
-        assert sample(msgs, rate=1.0, seed=42) == msgs
+        assert list(sample(msgs, rate=1.0, seed=42)) == msgs
 
     def test_exact_n_deterministic_and_ordered(self):
         msgs = make_messages([f"t{i}" for i in range(10)])
@@ -402,6 +402,22 @@ class TestSample:
 
         assert peak(20_000) < 2 * peak(2_000) + 64_000
 
+    def test_rate_holds_no_messages(self):
+        def peak(population):
+            stream = (msg(f"bericht {i}", id=str(i)) for i in range(population))
+            tracemalloc.start()
+            picked = sum(1 for _ in sample(stream, rate=1.0, seed=1))
+            _, peak_bytes = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert picked == population
+            return peak_bytes
+
+        assert peak(20_000) < 2 * peak(2_000) + 64_000
+
+    def test_rate_checks_its_arguments_at_the_call(self):
+        with pytest.raises(ValueError, match="rate must be in"):
+            sample(iter(()), rate=1.5, seed=1)
+
     def test_n_too_large_names_both_numbers(self):
         msgs = make_messages(["a", "b"])
         with pytest.raises(ValueError, match=r"3.*2"):
@@ -424,7 +440,7 @@ class TestSample:
         # mean size over seeds must approach rate*N
         n, rate, runs = 400, 0.25, 60
         msgs = make_messages([f"t{i}" for i in range(n)])
-        sizes = [len(sample(msgs, rate=rate, seed=s)) for s in range(runs)]
+        sizes = [len(list(sample(msgs, rate=rate, seed=s))) for s in range(runs)]
         mean = sum(sizes) / runs
         sigma_of_mean = (n * rate * (1 - rate)) ** 0.5 / runs ** 0.5
         assert abs(mean - n * rate) < 3 * sigma_of_mean

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import opinionpulse
 from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import load_query
 from opinionpulse.polarity import load_lexicon, read_scored_csv
-from opinionpulse.stance.data import read_label_column, read_labeled_jsonl, read_labeled_tsv
+from opinionpulse.stance.data import read_labeled_jsonl, read_labeled_tsv
 from opinionpulse.timeseries import load_events, read_series_csv
 
 LABELED = '{"created_at": "2020-03-01T1%d:00:00Z", "stance": "other"}\n'
@@ -26,8 +27,6 @@ READERS = {
                         "b,2020-03-01T11:00:00Z,-0.5,1\n"),
     "read_labeled_tsv": (read_labeled_tsv, "label", "l.tsv",
                          "supports\tgoed\nrejects\tslecht\nother\tzon\n"),
-    "read_label_column": (read_label_column, "label", "l.tsv",
-                          "supports\tgoed\nrejects\tslecht\nother\tzon\n"),
     "read_labeled_jsonl": (read_labeled_jsonl, "labeled JSONL", "lab.jsonl",
                            "".join(LABELED % hour for hour in range(3))),
     "read_series_csv": (read_series_csv, "series", "series.csv",
@@ -151,3 +150,47 @@ def test_guard_sees_a_read_mode_open():
                      "def g(p):\n    open(p, 'wb').close()\n"
                      "def h(p):\n    return p.read_text()\n")
     assert list(_read_calls(tree)) == [("f", 2), ("h", 6)]
+
+
+def _reader_kinds(tree):
+    """(kind, top-level function) of every input_lines or input_json call whose kind is a literal."""
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called not in ("input_lines", "input_json"):
+                continue
+            kind = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "kind"), None)
+            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                yield kind.value, name
+
+
+def _shared_kinds(trees):
+    """Each kind of file that more than one top-level function reads, with those functions."""
+    readers = defaultdict(set)
+    for module, tree in trees.items():
+        for kind, function in _reader_kinds(tree):
+            readers[kind].add(f"{module}:{function}")
+    return {kind: sorted(functions) for kind, functions in readers.items() if len(functions) > 1}
+
+
+def test_each_kind_of_file_has_one_reader():
+    package = Path(opinionpulse.__file__).parent
+    trees = {source.relative_to(package).as_posix(): ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(package.rglob("*.py"))}
+    kinds = {kind for tree in trees.values() for kind, _ in _reader_kinds(tree)}
+    assert kinds >= {kind for _, kind, _, _ in READERS.values()}
+    assert _shared_kinds(trees) == {}, "one reader per kind of file"
+
+
+def test_guard_sees_a_second_reader_of_one_kind():
+    first = ast.parse("def f(p):\n    with input_lines(p, 'label') as lines:\n"
+                      "        return list(lines)\n"
+                      "def g(p, kind):\n    return input_json(p, kind)\n")
+    second = ast.parse("def h(p):\n    return exceptions.input_json(p, kind='label')\n")
+    assert _shared_kinds({"a.py": first}) == {}
+    assert _shared_kinds({"a.py": first, "b.py": second}) == {"label": ["a.py:f", "b.py:h"]}

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import make_messages, msg, write_labels
+from opinionpulse.cli import main
 from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import TopicQuery
 from opinionpulse.stance import LabeledExample, prepare_annotation_set, read_labeled_tsv
 from opinionpulse.stance.data import (
     LABEL_INDEX,
     LABELS,
-    read_label_column,
     read_labeled_jsonl,
+    read_paired_labels,
     write_annotation_template,
     write_labeled_jsonl,
 )
@@ -83,17 +84,56 @@ class TestLabeledTsv:
             read_labeled_tsv(tmp_path / "nope.tsv")
 
 
-class TestReadLabelColumn:
-    def test_reads_first_column(self, tmp_path):
-        path = tmp_path / "ann.tsv"
-        path.write_text("supports\tiets\nREJECTS\tanders\n", encoding="utf-8")
-        assert read_label_column(path) == ["supports", "rejects"]
+class TestKappaReadsLabelFilesLikeTrain:
+    def kappa(self, tmp_path, first, second):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text(first, encoding="utf-8")
+        b.write_text(second, encoding="utf-8")
+        return main(["kappa", "--a", str(a), "--b", str(b)])
 
-    def test_empty_label_cell(self, tmp_path):
-        path = tmp_path / "ann.tsv"
-        path.write_text("supports\ta\n\tb\n", encoding="utf-8")
-        with pytest.raises(InputError, match=r"empty label, line 2"):
-            read_label_column(path)
+    def test_upper_case_label_is_read_as_lower_case(self, tmp_path, capsys):
+        assert self.kappa(tmp_path, "supports\tiets\nREJECTS\tanders\n",
+                          "supports\tiets\nrejects\tanders\n") == 0
+        assert capsys.readouterr().out.splitlines()[0] == "kappa=1.0"
+
+    def test_empty_label_cell_names_its_line(self, tmp_path, capsys):
+        assert self.kappa(tmp_path, "supports\ta\n\tb\n", "supports\ta\nother\tb\n") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a.tsv: unknown label ''")
+        assert err.endswith(", line 2\n")
+
+    @pytest.mark.parametrize("text, reason", [
+        ("supprts\tx\n", "unknown label 'supprts', expected one of "
+                          "('supports', 'rejects', 'other')"),
+        ("supports\nrejects\n", "expected label<TAB>text"),
+    ])
+    def test_kappa_and_train_refuse_a_file_alike(self, text, reason, tmp_path, capsys):
+        labels = tmp_path / "l.tsv"
+        labels.write_text(text, encoding="utf-8")
+        expected = f"error: l.tsv: {reason}, line 1\n"
+        assert main(["kappa", "--a", str(labels), "--b", str(labels)]) == 2
+        assert capsys.readouterr().err == expected
+        assert main(["train", "--labels", str(labels), "--out", str(tmp_path / "m.bin")]) == 2
+        assert capsys.readouterr().err == expected
+
+    def test_different_texts_name_both_files_and_the_example(self, tmp_path, capsys):
+        assert self.kappa(tmp_path, "supports\tx\n\nrejects\ty\nother\tz\n",
+                          "supports\tx\nrejects\tanders\nother\tz\n") == 2
+        assert capsys.readouterr().err == "error: a.tsv and b.tsv label different texts, example 2\n"
+
+
+class TestReadPairedLabels:
+    def test_labels_in_file_order(self, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("supports\tx\nrejects\ty\n", encoding="utf-8")
+        b.write_text("OTHER\tx\nrejects\ty\n", encoding="utf-8")
+        assert read_paired_labels(a, b) == (["supports", "rejects"], ["other", "rejects"])
+
+    def test_a_prefix_is_left_to_kappa(self, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("supports\tx\nrejects\ty\n", encoding="utf-8")
+        b.write_text("other\tx\n", encoding="utf-8")
+        assert read_paired_labels(a, b) == (["supports", "rejects"], ["other"])
 
 
 class TestPrepareAnnotationSet:
@@ -102,7 +142,7 @@ class TestPrepareAnnotationSet:
         return make_messages(texts)
 
     def test_rate_one_keeps_every_unique_match(self):
-        selected = prepare_annotation_set(self.corpus(), QUERY, rate=1.0, seed=1)
+        selected = list(prepare_annotation_set(self.corpus(), QUERY, rate=1.0, seed=1))
         assert len(selected) == 10
         assert all("corona" in m.text for m in selected)
 

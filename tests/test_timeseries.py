@@ -501,6 +501,15 @@ class TestEvents:
         annotated = annotate_events(series, events, bucket="hour")
         assert annotated.markers == {hours[1]: ("d1", "d2"), hours[3]: ("d3",)}
 
+    def test_event_on_the_last_date_of_hour_buckets_is_in_range(self):
+        hours = [datetime(2020, 3, 1, 9, tzinfo=UTC), datetime(2020, 3, 3, 12, tzinfo=UTC)]
+        series = [SeriesPoint(bucket=hour, value=1.0, n=1) for hour in hours]
+        events = [Event(date=date(2020, 3, 3), label="laatste dag"),
+                  Event(date=date(2020, 3, 4), label="daarna")]
+        annotated = annotate_events(series, events, bucket="hour")
+        assert annotated.markers == {hours[1]: ("laatste dag",)}
+        assert [e.label for e in annotated.out_of_range] == ["daarna"]
+
 
 class TestCsvRoundTrips:
     def test_frequency_schema(self, tmp_path):
