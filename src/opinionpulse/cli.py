@@ -32,8 +32,6 @@ from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, STANCE_BUCKETS, TOY
 from .exceptions import InputError
 from .stance.params import DIM_RANGE, EPOCHS_RANGE, LR_RANGE, Hyperparams, grid_hyperparams
 
-logger = logging.getLogger(__name__)
-
 
 class UsageError(Exception):
     """A flag combination the parser cannot check is wrong; maps to exit code 1."""
@@ -170,8 +168,9 @@ def _builtin_query_path(name: str) -> Path:
 
 _tz = _flag_type(_parse_tz, "an offset such as +01:00")
 _builtin_query = _flag_type(_builtin_query_path, "a shipped query name")
-_int_list = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
-                       "a comma-separated list of integers", bool)
+_sizes = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
+                    "a comma-separated list of increasing positive integers",
+                    lambda sizes: sizes and sizes[0] >= 1 and sizes == sorted(set(sizes)))
 _TZ_FLAG = {"type": _tz, "default": DEFAULT_TZ_OFFSET,
             "help": f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
                     "give a negative one as --tz=-05:30"}
@@ -183,6 +182,15 @@ def _list_within(convert, low, high):
     return _flag_type(lambda text: [convert(item) for item in text.split(",") if item.strip()],
                       f"a comma-separated list of {what} in [{low}, {high}]",
                       lambda values: values and all(low <= v <= high for v in values))
+
+
+def _check_distinct_outputs(args) -> None:
+    """Two output flags that name one file would lose one of the outputs."""
+    seen = {}
+    for dest in ("out", "unmatched_out", "stats", "summary", "events_out"):
+        path, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
+        if path is not None and seen.setdefault(path.resolve(), flag) != flag:
+            raise UsageError(f"{seen[path.resolve()]} and {flag} name the same file")
 
 
 def _hyperparams_from(args) -> Hyperparams:
@@ -305,10 +313,8 @@ def cmd_annotate_sample(args) -> dict:
 def cmd_kappa(args) -> dict:
     from .stance import agreement, data
     report = agreement.kappa(*data.read_paired_labels(args.a, args.b))
-    print(f"kappa={report.kappa!r}")
-    print(f"observed_agreement={report.observed_agreement!r}")
-    print(f"expected_agreement={report.expected_agreement!r}")
-    print(f"n={report.n}")
+    for key in ("kappa", "observed_agreement", "expected_agreement", "n"):
+        print(f"{key}={getattr(report, key)!r}")
     return {"kappa": report.kappa, "n": report.n}
 
 
@@ -547,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy and fraction score vs training-set size")
     p.add_argument("--labels", type=_input_file, required=True, help="label<TAB>text file")
     _add_hyperparam_flags(p, defaults)
-    p.add_argument("--sizes", type=_int_list, required=True,
-                   help="comma list of training sizes")
+    p.add_argument("--sizes", type=_sizes, required=True,
+                   help="comma list of increasing training sizes")
     p.add_argument("--repeats", type=_positive_int, default=1,
                    help="repeats per size (default 1)")
     p.add_argument("--test-size", type=_positive_int,
@@ -599,15 +605,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # as sys.exit reads it: None is 0 and a message is 1
+        return exc.code if isinstance(exc.code, int) else int(exc.code is not None)
     with _setup_logging(args.log):
         if args.log:
             _log(event="run", command=args.command, seed=args.seed)
         try:
+            _check_distinct_outputs(args)
             fields = args.func(args)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -21,38 +21,31 @@ from .corpus import Message
 from .exceptions import InputError, input_json
 from .tokenization import normalize_counts
 
-COMBINE_MODES = ("keywords_only", "regex_only", "keywords_or_regex")
-
 
 @dataclass(frozen=True)
 class TopicQuery:
-    """A named on-topic predicate built from keywords and/or a regex.
+    """A named on-topic predicate: a text matches if any keyword or the regex does.
 
     Keywords are stored lowercase and matched as case-insensitive
-    substrings (no word boundaries). The regex is compiled once at
-    construction and searched against the case-folded text, unanchored,
-    with ``.`` not matching newlines.
+    substrings (no word boundaries). The regex, if not empty, is compiled
+    once and searched against the case-folded text, unanchored, with
+    ``.`` not matching newlines.
     """
 
     name: str
     keywords: frozenset = frozenset()
     regex: str | None = None
-    combine: str = "keywords_only"
     _pattern: re.Pattern | None = field(init=False, repr=False, compare=False, default=None)
     _folded: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         keywords = frozenset(k.lower() for k in self.keywords)
         object.__setattr__(self, "keywords", keywords)
-        if self.combine not in COMBINE_MODES:
-            raise InputError(f"unknown combine mode {self.combine!r}")
         if not keywords and not self.regex:
             raise InputError(f"query {self.name!r} has neither keywords nor regex")
-        if self.combine != "regex_only" and not keywords:
-            raise InputError(f"query {self.name!r} needs keywords for mode {self.combine}")
-        if self.combine != "keywords_only" and not self.regex:
-            raise InputError(f"query {self.name!r} needs a regex for mode {self.combine}")
-        if self.regex is not None:
+        if not all(k.strip() for k in keywords):  # "" is in every text
+            raise InputError(f"query {self.name!r} has a blank keyword")
+        if self.regex:
             try:
                 pattern = re.compile(self.regex)
             except re.error as exc:
@@ -61,11 +54,9 @@ class TopicQuery:
         object.__setattr__(self, "_folded", tuple(k.casefold() for k in keywords))
 
     def matches(self, text: str) -> bool:
-        if self.combine == "keywords_only":
-            return keyword_match(self, text)
-        if self.combine == "regex_only":
-            return regex_match(self, text)
-        return keyword_match(self, text) or regex_match(self, text)
+        if self.keywords and keyword_match(self, text):
+            return True
+        return self._pattern is not None and regex_match(self, text)
 
 
 def keyword_match(query: TopicQuery, text: str) -> bool:
@@ -84,17 +75,17 @@ def regex_match(query: TopicQuery, text: str) -> bool:
 
 
 def load_query(path) -> TopicQuery:
-    """Read a query from JSON {name, keywords, regex, combine}.
+    """Read a query from JSON {name, keywords, regex}.
 
     ``keywords`` is a list of strings and the other fields are strings; a
-    missing or null field takes its default. ``combine`` defaults to
-    whatever the populated fields allow.
+    missing or null field takes its default. A legacy ``combine`` field
+    must name the mode the filled fields imply, or be null.
     """
     path = Path(path)
     record = input_json(path, "query")
     if not isinstance(record, dict):
         raise InputError(f"{path.name}: expected a JSON object, got {type(record).__name__}")
-    for key in ("name", "regex", "combine"):
+    for key in ("name", "regex"):
         if record.get(key) is not None and not isinstance(record[key], str):
             raise InputError(f"{path.name}: {key} must be a string, "
                              f"got {type(record[key]).__name__}")
@@ -106,20 +97,13 @@ def load_query(path) -> TopicQuery:
     name = record.get("name")
     regex = record.get("regex")
     combine = record.get("combine")
-    if combine is None:
-        if keywords and regex:
-            combine = "keywords_or_regex"
-        elif regex:
-            combine = "regex_only"
-        else:
-            combine = "keywords_only"
+    implied = ("keywords_or_regex" if keywords and regex
+               else "regex_only" if regex else "keywords_only")
+    if combine not in (None, implied):
+        raise InputError(f"{path.name}: combine must be {implied!r} or absent, got {combine!r}")
     try:
-        return TopicQuery(
-            name=path.stem if name is None else name,
-            keywords=frozenset(keywords),
-            regex=regex,
-            combine=combine,
-        )
+        return TopicQuery(name=path.stem if name is None else name,
+                          keywords=frozenset(keywords), regex=regex)
     except InputError as exc:  # the query's own rules, named with the file like the rest
         raise InputError(f"{path.name}: {exc}") from None
 

@@ -378,7 +378,9 @@ class TestExitCodes:
         ('{"keywords": ["a", 5]}', "keywords must be a list of strings"),
         ('{"keywords": ["a"], "regex": 7}', "regex must be a string, got int"),
         ('{"keywords": ["a"], "name": ["q"]}', "name must be a string, got list"),
-        ('{"keywords": ["a"], "combine": 1.5}', "combine must be a string, got float"),
+        ('{"keywords": ["a"], "combine": 1.5}',
+         "combine must be 'keywords_only' or absent, got 1.5"),
+        ('{"keywords": ["corona", ""]}', "query 'q' has a blank keyword"),
     ])
     def test_query_field_of_wrong_type_exits_two(self, document, reason, corpus, tmp_path,
                                                  capsys):
@@ -420,6 +422,8 @@ class TestExitCodes:
             f"got '{lr}'\n")
         assert not out.exists()
 
+    INCREASING_SIZES = "a comma-separated list of increasing positive integers"
+
     @pytest.mark.parametrize("command, flag, value, expected", [
         ("train", "--dim", "0", "a positive integer"),
         ("train", "--epochs", "0", "a positive integer"),
@@ -429,6 +433,9 @@ class TestExitCodes:
         ("grid-search", "--dims", "16,5", "a comma-separated list of integers in [10, 300]"),
         ("grid-search", "--epochs", "501", "a comma-separated list of integers in [10, 500]"),
         ("grid-search", "--lrs", "0.3,nan", "a comma-separated list of numbers in [0.05, 1.0]"),
+        ("learning-curve", "--sizes", "5,3", INCREASING_SIZES),
+        ("learning-curve", "--sizes", "3,3", INCREASING_SIZES),
+        ("learning-curve", "--sizes", "0,5", INCREASING_SIZES),
     ])
     def test_hyperparameter_flag_fails_while_parsing(self, command, flag, value, expected,
                                                      valid_runs, tmp_path, capsys):
@@ -632,6 +639,26 @@ class TestOutputFileFlags:
         assert [p.read_text(encoding="utf-8") for p in outputs] == ["oude inhoud\n"] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.events"]
 
+    @pytest.mark.parametrize("command, first, second", [
+        ("filter", "--out", "--stats"),
+        ("filter", "--out", "--unmatched-out"),
+        ("filter", "--unmatched-out", "--stats"),
+        ("sentiment", "--out", "--summary"),
+        ("timeseries", "--out", "--events-out"),
+    ])
+    def test_two_flags_naming_one_file_exit_one(self, command, first, second, valid_runs,
+                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("oude inhoud\n", encoding="utf-8")
+        argv = _with_flag(valid_runs(command, str(tmp_path / "other")), first, str(out))
+        # the same file by another spelling
+        argv = _with_flag(argv, second, str(tmp_path / "sub" / ".." / "out"))
+        (tmp_path / "sub").mkdir()
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {first} and {second} name the same file\n"
+        assert out.read_text(encoding="utf-8") == "oude inhoud\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sub"]
+
     def test_existing_directory_is_not_an_output(self, valid_runs, tmp_path, capsys):
         argv = valid_runs("sentiment", str(tmp_path))
         assert main(["sentiment", *argv]) == 1
@@ -695,6 +722,19 @@ class TestFilter:
         out = tmp_path / "matched.jsonl"
         assert main(["filter", "--query", str(query), "--in", str(corpus), "--out", str(out)]) == 0
         assert [json.loads(l)["id"] for l in out.read_text(encoding="utf-8").splitlines()] == ["d"]
+
+
+    def test_legacy_combine_that_disagrees_exits_two(self, corpus, tmp_path, capsys):
+        # the fields select a, c and d; "keywords_only" would silently drop d
+        query = tmp_path / "q.json"
+        query.write_text('{"keywords": ["corona"], "regex": "gefietst", '
+                         '"combine": "keywords_only"}', encoding="utf-8")
+        argv = ["filter", "--query", str(query), "--in", str(corpus),
+                "--out", str(tmp_path / "o.jsonl"), "--stats", str(tmp_path / "s.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: q.json: combine must be 'keywords_or_regex' "
+                                           "or absent, got 'keywords_only'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "q.json"]
 
 
 class TestAtomicOutputs:

@@ -1,5 +1,6 @@
 """Topic queries, corpus partitioning and t-score expansion."""
 
+import json
 import math
 import re
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_messages
+from opinionpulse.constants import DATA_DIR
 from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import (
     TopicQuery,
@@ -30,6 +32,10 @@ PANDEMIC_KEYWORDS = {
 }
 
 
+# selected by a keyword, by a regex, and by neither
+PROBES = ["corona cijfers stijgen", "de trein is vol", "mooi weer vandaag"]
+
+
 def brute_tscore(count_matched, count_unmatched, n_matched, n_unmatched):
     """Independent re-derivation with exact rational intermediates."""
     p1 = Fraction(count_matched, n_matched)
@@ -43,19 +49,29 @@ class TestTopicQuery:
         with pytest.raises(InputError):
             TopicQuery(name="leeg")
 
-    def test_rejects_unknown_combine(self):
+    # a legacy combine field is only ever checked against the filled fields
+    def test_rejects_unknown_combine(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"keywords": ["a"], "combine": "KEYWORDS_ONLY"}', encoding="utf-8")
         with pytest.raises(InputError):
-            TopicQuery(name="q", keywords=frozenset({"a"}), combine="fuzzy")
+            load_query(path)
 
-    def test_rejects_mode_field_mismatch(self):
-        with pytest.raises(InputError):
-            TopicQuery(name="q", keywords=frozenset({"a"}), combine="regex_only")
-        with pytest.raises(InputError):
-            TopicQuery(name="q", regex="a+", combine="keywords_only")
+    def test_rejects_mode_field_mismatch(self, tmp_path):
+        path = tmp_path / "q.json"
+        for document in ('{"keywords": ["a"], "combine": "regex_only"}',
+                         '{"regex": "a+", "combine": "keywords_only"}'):
+            path.write_text(document, encoding="utf-8")
+            with pytest.raises(InputError):
+                load_query(path)
 
     def test_bad_regex_fails_at_construction(self):
         with pytest.raises(InputError):
-            TopicQuery(name="q", regex="([", combine="regex_only")
+            TopicQuery(name="q", regex="([")
+
+    def test_keyword_with_edge_spaces_is_kept(self):
+        q = TopicQuery(name="q", keywords=frozenset({" rivm"}))
+        assert q.matches("volgens het RIVM")
+        assert not q.matches("rivm meldt")
 
     def test_keywords_stored_lowercase(self):
         q = TopicQuery(name="q", keywords=frozenset({"RIVM"}))
@@ -76,7 +92,7 @@ class TestKeywordMatch:
         assert not keyword_match(q, "mooi weer vandaag")
 
     def test_requires_keywords(self):
-        q = TopicQuery(name="r", regex="x", combine="regex_only")
+        q = TopicQuery(name="r", regex="x")
         with pytest.raises(ValueError):
             keyword_match(q, "x")
 
@@ -112,11 +128,33 @@ class TestRegexMatch:
             regex_match(q, "a")
 
 
+class TestMatches:
+    def test_keywords_or_regex_selects_a_regex_only_hit(self):
+        q = TopicQuery(name="q", keywords=frozenset({"corona"}), regex="trein")
+        assert [q.matches(text) for text in PROBES] == [True, True, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keywords=st.frozensets(st.text(alphabet="abcAB ßé", min_size=1, max_size=3)
+                               .filter(str.strip), max_size=3),
+        regex=st.sampled_from([None, "", "ab", "c.a", "^b", "é$", "a|bc"]),
+        text=st.text(alphabet="abcABC ßéÉ\n", max_size=12),
+    )
+    def test_one_matching_rule(self, keywords, regex, text):
+        if not keywords and not regex:
+            return
+        q = TopicQuery(name="q", keywords=keywords, regex=regex)
+        folded = text.casefold()
+        expected = (any(k.casefold() in folded for k in keywords)
+                    or bool(regex) and re.search(regex, folded) is not None)
+        assert q.matches(text) == expected
+
+
 class TestBuiltinQueries:
     def test_pandemic_keyword_set(self):
         q = load_builtin_query("table2")
         assert q.keywords == frozenset(PANDEMIC_KEYWORDS)
-        assert q.combine == "keywords_only"
+        assert q.regex is None
 
     def test_aliases_resolve(self):
         assert load_builtin_query("pandemic").keywords == load_builtin_query("table2").keywords
@@ -127,16 +165,46 @@ class TestBuiltinQueries:
             load_builtin_query("nosuch")
 
     def test_load_query_infers_combine(self, tmp_path):
+        # keywords and a regex: either one selects a message
         path = tmp_path / "q.json"
         path.write_text('{"name": "x", "keywords": ["a"], "regex": "b"}', encoding="utf-8")
-        assert load_query(path).combine == "keywords_or_regex"
+        query = load_query(path)
+        assert [query.matches(text) for text in ("a", "b", "c")] == [True, True, False]
 
     def test_load_query_null_fields_take_defaults(self, tmp_path):
         path = tmp_path / "q.json"
         path.write_text('{"name": null, "keywords": null, "regex": "b", "combine": null}',
                         encoding="utf-8")
         query = load_query(path)
-        assert (query.name, query.keywords, query.combine) == ("q", frozenset(), "regex_only")
+        assert (query.name, query.keywords, query.regex) == ("q", frozenset(), "b")
+
+    @pytest.mark.parametrize("document", [
+        '{"keywords": ["corona"], "combine": "keywords_only"}',
+        '{"regex": "trein", "combine": "regex_only"}',
+        '{"keywords": ["corona"], "regex": "trein", "combine": "keywords_or_regex"}',
+        '{"keywords": ["corona"], "regex": "", "combine": "keywords_only"}',
+    ])
+    def test_legacy_combine_that_agrees_loads(self, document, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(document, encoding="utf-8")
+        legacy = load_query(path)
+        record = json.loads(document)
+        del record["combine"]
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert legacy == load_query(path)
+
+    def test_empty_regex_counts_as_none(self, tmp_path):
+        # as when the mode was inferred: keywords_only, so "" never matched everything
+        path = tmp_path / "q.json"
+        path.write_text('{"keywords": ["corona"], "regex": ""}', encoding="utf-8")
+        query = load_query(path)
+        assert [query.matches(text) for text in PROBES] == [True, False, False]
+
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in DATA_DIR.glob("*.json")))
+    def test_shipped_query_files_hold_only_the_query_fields(self, stem):
+        record = json.loads((DATA_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+        assert set(record) <= {"name", "keywords", "regex"}
+        assert load_builtin_query(stem).name == record["name"]
 
     @pytest.mark.parametrize("document, reason", [
         ('[1, 2]', "expected a JSON object, got list"),
@@ -146,11 +214,17 @@ class TestBuiltinQueries:
         ('{"keywords": ["a", null]}', "keywords must be a list of strings"),
         ('{"keywords": ["a"], "regex": 7}', "regex must be a string, got int"),
         ('{"keywords": ["a"], "name": 3}', "name must be a string, got int"),
-        ('{"keywords": ["a"], "combine": ["keywords_only"]}', "combine must be a string, got list"),
+        ('{"keywords": ["a"], "combine": ["keywords_only"]}',
+         "combine must be 'keywords_only' or absent, got ['keywords_only']"),
         ('{"keywords": []}', "query 'q' has neither keywords nor regex"),
-        ('{"keywords": ["a"], "combine": "fuzzy"}', "unknown combine mode 'fuzzy'"),
+        ('{"keywords": ["a"], "combine": "fuzzy"}',
+         "combine must be 'keywords_only' or absent, got 'fuzzy'"),
         ('{"regex": "a", "combine": "keywords_or_regex"}',
-         "query 'q' needs keywords for mode keywords_or_regex"),
+         "combine must be 'regex_only' or absent, got 'keywords_or_regex'"),
+        ('{"keywords": ["corona"], "regex": "trein", "combine": "keywords_only"}',
+         "combine must be 'keywords_or_regex' or absent, got 'keywords_only'"),
+        ('{"keywords": ["corona", ""]}', "query 'q' has a blank keyword"),
+        ('{"keywords": ["corona", " \\t"]}', "query 'q' has a blank keyword"),
     ])
     def test_load_query_names_file_and_reason(self, document, reason, tmp_path):
         path = tmp_path / "q.json"
