@@ -37,9 +37,10 @@ REJECT_WARNINGS = 20
 def parse_timestamp(value) -> datetime:
     """Parse an ISO-8601 string or integer epoch seconds into aware UTC.
 
-    Naive ISO strings are taken as UTC; offsets are converted. A value
-    that no ``datetime`` can hold, such as an epoch of 20 digits, raises
-    ValueError like any other bad timestamp.
+    Naive ISO strings are taken as UTC; offsets are converted. An epoch
+    string is ASCII digits with an optional leading minus, as JSON writes
+    a number. Any other value, or one that no ``datetime`` can hold such
+    as an epoch of 20 digits, raises ``ValueError("bad timestamp: ...")``.
     """
     if isinstance(value, bool):
         raise ValueError(f"bad timestamp: {value!r}")
@@ -48,7 +49,7 @@ def parse_timestamp(value) -> datetime:
             return datetime.fromtimestamp(int(value), tz=timezone.utc)
         if isinstance(value, str):
             raw = value.strip()
-            if raw.isdigit() or (raw.startswith("-") and raw[1:].isdigit()):
+            if raw.isascii() and raw.removeprefix("-").isdigit():
                 return datetime.fromtimestamp(int(raw), tz=timezone.utc)
             if raw.endswith(("Z", "z")):
                 raw = raw[:-1] + "+00:00"
@@ -56,8 +57,8 @@ def parse_timestamp(value) -> datetime:
             if parsed.tzinfo is None:
                 return parsed.replace(tzinfo=timezone.utc)
             return parsed.astimezone(timezone.utc)
-    except (OverflowError, OSError):
-        # past time_t or datetime's years 1-9999, or an infinite float
+    except (OverflowError, OSError, ValueError):
+        # not a date, past time_t or datetime's years 1-9999, or a NaN or infinite float
         raise ValueError(f"bad timestamp: {value!r}") from None
     raise ValueError(f"bad timestamp: {value!r}")
 
@@ -300,20 +301,18 @@ def filter_lang(msgs: Iterable[Message], keep: str) -> Iterator[Message]:
 def dedup(msgs: Iterable[Message], mode: str = "by_id") -> Iterator[Message]:
     """Drop duplicate messages, first occurrence wins, order preserved.
 
-    ``by_id`` keys on (platform, id); ``by_exact_text`` on a 16-byte
-    BLAKE2b digest of the trimmed text, so memory grows by the digest, not
-    the text, per distinct message.
+    Both modes key on a 16-byte BLAKE2b digest, so memory grows by the
+    digest, not the key, per distinct message: ``by_id`` hashes platform,
+    NUL and id (no platform holds a NUL), ``by_exact_text`` the trimmed
+    text. Two keys merge only on a 128-bit digest collision.
     """
     if mode not in ("by_id", "by_exact_text"):
         raise ValueError(f"unknown dedup mode {mode!r}")
     seen = set()
     for msg in msgs:
-        if mode == "by_id":
-            key = (msg.platform, msg.id)
-        else:
-            # surrogatepass: a Message built in-process may hold a lone surrogate
-            key = blake2b(msg.text.strip().encode("utf-8", "surrogatepass"),
-                          digest_size=16).digest()
+        raw = f"{msg.platform}\0{msg.id}" if mode == "by_id" else msg.text.strip()
+        # surrogatepass: a Message built in-process may hold a lone surrogate
+        key = blake2b(raw.encode("utf-8", "surrogatepass"), digest_size=16).digest()
         if key in seen:
             continue
         seen.add(key)

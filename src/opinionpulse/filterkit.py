@@ -29,7 +29,8 @@ class TopicQuery:
     Keywords are stored lowercase and matched as case-insensitive
     substrings (no word boundaries). The regex, if not empty, is compiled
     once and searched against the case-folded text, unanchored, with
-    ``.`` not matching newlines.
+    ``.`` not matching newlines; a regex that differs from its own
+    ``casefold()`` is compiled with ``re.IGNORECASE``.
     """
 
     name: str
@@ -46,8 +47,10 @@ class TopicQuery:
         if not all(k.strip() for k in keywords):  # "" is in every text
             raise InputError(f"query {self.name!r} has a blank keyword")
         if self.regex:
+            # the text is case-folded; upper case in the pattern would never match it
+            flags = re.IGNORECASE if self.regex != self.regex.casefold() else 0
             try:
-                pattern = re.compile(self.regex)
+                pattern = re.compile(self.regex, flags)
             except re.error as exc:
                 raise InputError(f"query {self.name!r} has invalid regex: {exc}") from None
             object.__setattr__(self, "_pattern", pattern)

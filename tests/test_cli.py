@@ -723,6 +723,16 @@ class TestFilter:
         assert main(["filter", "--query", str(query), "--in", str(corpus), "--out", str(out)]) == 0
         assert [json.loads(l)["id"] for l in out.read_text(encoding="utf-8").splitlines()] == ["d"]
 
+    def test_upper_case_regex_matches_case_folded_text(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_corpus(path, [msg("Corona is hier", id="1"), msg("RIVM meldt", id="2"),
+                            msg("niets", id="3")])
+        query = tmp_path / "up.json"
+        query.write_text('{"regex": "Corona|RIVM"}', encoding="utf-8")
+        out = tmp_path / "matched.jsonl"
+        assert main(["filter", "--query", str(query), "--in", str(path), "--out", str(out)]) == 0
+        assert [json.loads(l)["id"] for l in out.read_text(encoding="utf-8").splitlines()] == [
+            "1", "2"]
 
     def test_legacy_combine_that_disagrees_exits_two(self, corpus, tmp_path, capsys):
         # the fields select a, c and d; "keywords_only" would silently drop d

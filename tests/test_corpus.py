@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_messages, msg, write_corpus
 from opinionpulse.corpus import (
+    PLATFORMS,
     REJECT_WARNINGS,
     Message,
     dedup,
@@ -51,6 +52,8 @@ class TestParseTimestamp:
         "99999999999999999999", "-99999999999999999999",
         # in range as written, out of datetime's years 1-9999 once moved to UTC
         "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+        # not a date: an epoch string is ASCII digits with an optional minus
+        float("nan"), "\u00b2", "\u0661\u0665\u0668\u0663" + "\u0660" * 6,
     ])
     def test_value_no_datetime_holds_raises_value_error(self, value):
         with pytest.raises(ValueError, match=r"^bad timestamp: "):
@@ -212,6 +215,20 @@ class TestIngest:
         [warning] = [rec.getMessage() for rec in caplog.records]
         assert warning.startswith(f"c.{fmt} line 1 rejected: bad timestamp: ")
 
+    def test_odd_timestamp_rejected_as_bad_timestamp(self, tmp_path, caplog):
+        arabic_indic = "\u0661\u0665\u0668\u0663" + "\u0660" * 6  # 1583000000
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "1", "created_at": NaN, "text": "x"}\n'
+                        + "".join(json.dumps({"id": "1", "created_at": created, "text": "x"}) + "\n"
+                                  for created in ("\u00b2", arabic_indic, "1583000000")),
+                        encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="opinionpulse.corpus"):
+            stream = ingest(path)
+            assert [m.timestamp for m in stream] == [parse_timestamp(1583000000)]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"c.jsonl line {n} rejected: bad timestamp: {value!r}"
+            for n, value in ((1, float("nan")), (2, "\u00b2"), (3, arabic_indic))]
+
     @staticmethod
     def ingest_fields(tmp_path, caplog, *extras):
         """Ingest one line per dict in ``extras``, each merged into a valid record."""
@@ -340,6 +357,43 @@ class TestDedup:
         tracemalloc.stop()
         assert kept == 2_000
         assert peak_bytes < 1_000_000  # the texts alone are 4 MB
+
+    def test_by_id_holds_digests_not_ids(self):
+        long_ids = (msg("tekst", id=f"{i:05d}" + "x" * 2_000) for i in range(2_000))
+        tracemalloc.start()
+        kept = sum(1 for _ in dedup(long_ids, mode="by_id"))
+        _, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert kept == 2_000
+        assert peak_bytes < 1_000_000  # the ids alone are 4 MB
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(PLATFORMS),
+        st.lists(st.sampled_from(["0", "1", "12", "\x00", "\ud800", "twitter"]), max_size=3)
+        .map("".join)), max_size=20))
+    def test_by_id_keeps_what_platform_id_pairs_keep(self, keys):
+        # NUL and a lone surrogate only arise in-process; ingest rejects surrogates
+        msgs = [msg(f"t{i}", id=msg_id, platform=platform)
+                for i, (platform, msg_id) in enumerate(keys)]
+        first = {}
+        for m in msgs:
+            first.setdefault((m.platform, m.id), m)
+        assert list(dedup(msgs, mode="by_id")) == list(first.values())
+
+    @pytest.mark.parametrize("mode", ["by_id", "by_exact_text"])
+    def test_memory_per_distinct_key(self, mode):
+        small, large = 20_000, 200_000
+        when = datetime(2020, 3, 12, 15, tzinfo=timezone.utc)
+        msgs = (Message(id=str(i), timestamp=when, text=f"tekst {i}") for i in range(large))
+        traced = {}
+        tracemalloc.start()
+        # read while dedup is still running: its set is freed once it is exhausted
+        for kept, _ in enumerate(dedup(msgs, mode=mode), start=1):
+            if kept in (small, large):
+                traced[kept] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert (traced[large] - traced[small]) / (large - small) <= 120  # bytes per added key
 
     @given(st.lists(st.sampled_from(["aap", "noot", "mies", "wim"]), max_size=30))
     def test_idempotent(self, texts):

@@ -137,7 +137,7 @@ class TestMatches:
     @given(
         keywords=st.frozensets(st.text(alphabet="abcAB ßé", min_size=1, max_size=3)
                                .filter(str.strip), max_size=3),
-        regex=st.sampled_from([None, "", "ab", "c.a", "^b", "é$", "a|bc"]),
+        regex=st.sampled_from([None, "", "ab", "c.a", "^b", "é$", "a|bc", "Ab", "C.a", "\\S+X"]),
         text=st.text(alphabet="abcABC ßéÉ\n", max_size=12),
     )
     def test_one_matching_rule(self, keywords, regex, text):
@@ -145,8 +145,9 @@ class TestMatches:
             return
         q = TopicQuery(name="q", keywords=keywords, regex=regex)
         folded = text.casefold()
+        flags = re.IGNORECASE if regex and regex != regex.casefold() else 0
         expected = (any(k.casefold() in folded for k in keywords)
-                    or bool(regex) and re.search(regex, folded) is not None)
+                    or bool(regex) and re.search(regex, folded, flags) is not None)
         assert q.matches(text) == expected
 
 
