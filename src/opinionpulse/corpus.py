@@ -12,7 +12,8 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from json.encoder import encode_basestring as _quote  # json.dumps' escaper, ensure_ascii=False
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -29,6 +30,7 @@ logger = logging.getLogger("opinionpulse.corpus")
 PLATFORMS = ("twitter", "nunl", "reddit")
 
 _TSV_COLUMNS = ("id", "created_at", "text", "lang", "platform")
+_scan_once = json.JSONDecoder().scan_once  # json.loads without its whitespace and end checks
 
 # rejected lines an ingest pass warns about one by one; the rest get one summary line
 REJECT_WARNINGS = 20
@@ -45,6 +47,8 @@ def parse_timestamp(value) -> datetime:
     if isinstance(value, bool):
         raise ValueError(f"bad timestamp: {value!r}")
     try:
+        if type(value) is str and len(value) == 20 and value[19] == "Z" and value[0].isdigit():
+            return datetime.fromisoformat(value[:19] + "+00:00")  # writers' form; as below
         if isinstance(value, (int, float)):
             return datetime.fromtimestamp(int(value), tz=timezone.utc)
         if isinstance(value, str):
@@ -79,24 +83,23 @@ class Message:
     is_repost: bool = False
 
     def __post_init__(self):
-        if not self.text.strip():
+        if self.text.isspace() or not self.text:  # the test of `not text.strip()`, without a copy
             raise ValueError("message text is empty")
         if self.platform not in PLATFORMS:
             raise ValueError(f"unknown platform {self.platform!r}")
         ts = self.timestamp
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
-        else:
-            ts = ts.astimezone(timezone.utc)
-        object.__setattr__(self, "timestamp", ts)
-        object.__setattr__(self, "lang", self.lang.lower())
+        if ts.tzinfo is not timezone.utc:  # parse_timestamp's results already are UTC
+            object.__setattr__(self, "timestamp", ts.replace(tzinfo=timezone.utc)
+                               if ts.tzinfo is None else ts.astimezone(timezone.utc))
+        if not self.lang.islower():  # a string that is islower() is its own lower()
+            object.__setattr__(self, "lang", self.lang.lower())
 
 
 @dataclass
 class CorpusStats:
     """Running counts of an ingest pass.
 
-    ``total`` covers accepted messages only; day keys are UTC dates.
+    ``total`` covers accepted messages only; day keys are UTC date ordinals.
     """
 
     total: int = 0
@@ -106,7 +109,7 @@ class CorpusStats:
 
     def add(self, msg: Message) -> None:
         self.total += 1
-        day = msg.timestamp.date().isoformat()
+        day = msg.timestamp.toordinal()
         self.per_day[day] = self.per_day.get(day, 0) + 1
         self.per_platform[msg.platform] = self.per_platform.get(msg.platform, 0) + 1
 
@@ -117,7 +120,8 @@ class CorpusStats:
         return {
             "total": self.total,
             "rejected": self.rejected,
-            "per_day": dict(sorted(self.per_day.items())),
+            "per_day": {date.fromordinal(day).isoformat(): n
+                        for day, n in sorted(self.per_day.items())},
             "per_platform": dict(sorted(self.per_platform.items())),
         }
 
@@ -139,7 +143,7 @@ class MessageStream:
         return self.stats
 
     def __iter__(self):
-        return self
+        return self._iterator  # a for loop steps it without calling __next__ below
 
     def __next__(self):
         return next(self._iterator)
@@ -158,7 +162,12 @@ def _check_decoded(**fields: str) -> None:
 
 
 def _message_from_json(line: str) -> Message:
-    record = json.loads(line)
+    try:
+        record, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line):  # json.loads gives the same object, or the same error
+        record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("line is not a JSON object")
     try:
@@ -184,14 +193,7 @@ def _message_from_json(line: str) -> Message:
     if not (repost is None or isinstance(repost, bool)):
         raise ValueError("retweet is not true or false")
     _check_decoded(id=msg_id, text=text, lang=lang, platform=platform)
-    return Message(
-        id=msg_id,
-        timestamp=parse_timestamp(created),
-        text=text,
-        lang=lang,
-        platform=platform,
-        is_repost=repost is True,
-    )
+    return Message(msg_id, parse_timestamp(created), text, lang, platform, repost is True)
 
 
 def _message_from_tsv(line: str) -> Message:
@@ -200,13 +202,7 @@ def _message_from_tsv(line: str) -> Message:
         raise ValueError(f"expected {len(_TSV_COLUMNS)} columns, got {len(parts)}")
     msg_id, created, text, lang, platform = parts
     _check_decoded(id=msg_id, text=text, lang=lang, platform=platform)
-    return Message(
-        id=msg_id,
-        timestamp=parse_timestamp(created),
-        text=text,
-        lang=lang,
-        platform=platform,
-    )
+    return Message(msg_id, parse_timestamp(created), text, lang, platform)
 
 
 def ingest(path, fmt: str = "jsonl") -> MessageStream:
@@ -226,17 +222,16 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
     if not path.is_file():
         raise InputError(f"corpus file not found: {path}")
     parse = _message_from_json if fmt == "jsonl" else _message_from_tsv
+    header = "\t".join(_TSV_COLUMNS) if fmt == "tsv" else None  # tolerated on line 1
     stats = CorpusStats()
 
     def generate():
         # undecodable bytes become surrogates, which reject only their own line
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
+                line = line.rstrip("\n")  # universal newlines leave no "\r"
+                if not line or (lineno == 1 and line == header):
                     continue
-                if fmt == "tsv" and lineno == 1 and line.split("\t") == list(_TSV_COLUMNS):
-                    continue  # tolerated header row
                 try:
                     msg = parse(line)
                 except (ValueError, json.JSONDecodeError) as exc:
@@ -255,7 +250,8 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
 
 def format_timestamp(ts: datetime) -> str:
     """UTC ``ts`` as every writer emits it, with a four-digit year: ``0999-06-01T10:00:00Z``."""
-    return ts.isoformat(timespec="seconds").replace("+00:00", "Z")
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day,
+                                               ts.hour, ts.minute, ts.second)
 
 
 def message_to_record(msg: Message) -> dict:
@@ -270,16 +266,16 @@ def message_to_record(msg: Message) -> dict:
     }
 
 
-# the encoder json.dumps(record, ensure_ascii=False) would build for every record
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def write_jsonl(msgs: Iterable[Message], handle) -> int:
-    """Write messages to an open text handle, one JSON object per line."""
-    encode = _RECORD_ENCODER.encode
+    """Write messages to an open text handle, one ``json.dumps(message_to_record(msg),
+    ensure_ascii=False)`` per line, built with its escaper (time and platform need none)."""
     count = 0
     for msg in msgs:
-        handle.write(encode(message_to_record(msg)) + "\n")
+        handle.write(f'{{"id": {_quote(msg.id)}, '
+                     f'"created_at": "{format_timestamp(msg.timestamp)}", '
+                     f'"text": {_quote(msg.text)}, "lang": {_quote(msg.lang)}, '
+                     f'"platform": "{msg.platform}", '
+                     f'"retweet": {"true" if msg.is_repost else "false"}}}\n')
         count += 1
     return count
 

@@ -222,7 +222,7 @@ def read_scored_csv(path) -> Iterator:
     first = True
     with input_lines(path, "scored CSV") as lines:
         for row in csv.reader(lines):
-            if not any(cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if first:
                 first = False

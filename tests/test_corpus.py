@@ -4,8 +4,10 @@ import io
 import json
 import logging
 import random
+import tempfile
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from conftest import make_messages, msg, write_corpus
 from opinionpulse.corpus import (
     PLATFORMS,
     REJECT_WARNINGS,
+    CorpusStats,
     Message,
     dedup,
     filter_lang,
+    format_timestamp,
     ingest,
     message_to_record,
     parse_timestamp,
@@ -308,6 +312,32 @@ class TestRoundTrip:
         assert handle.getvalue().encode("utf-8") == expected.encode("utf-8")
 
 
+    JSON_HARD = st.lists(st.sampled_from(['"', "\\", "\x00", "\x01", "\x1f", "\n", "\r", "\t", "\u2028",
+                                          "\u2029", "\x7f", "\U0001F637", "/", "a", "é", " "]),
+                         min_size=1, max_size=8).map("".join)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(JSON_HARD, JSON_HARD.filter(str.strip), st.sampled_from(PLATFORMS),
+                              st.sampled_from(["nl", "und", "x\x7f\"é"]), st.booleans(),
+                              st.datetimes(timezones=st.just(timezone.utc))),
+                    min_size=1, max_size=5))
+    def test_write_jsonl_escapes_as_json_dumps_and_reads_back(self, fields_list):
+        msgs = [Message(msg_id, when.replace(microsecond=0), text, lang, platform, repost)
+                for msg_id, text, platform, lang, repost, when in fields_list]
+        handle = io.StringIO()
+        assert write_jsonl(msgs, handle) == len(msgs)
+        assert handle.getvalue() == "".join(
+            json.dumps(message_to_record(m), ensure_ascii=False) + "\n" for m in msgs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            path.write_text(handle.getvalue(), encoding="utf-8")
+            assert [fields(m) for m in ingest(path)] == [fields(m) for m in msgs]
+
+    @given(st.datetimes(timezones=st.just(timezone.utc)))
+    def test_format_timestamp_is_isoformat_in_seconds_with_z(self, when):
+        assert format_timestamp(when) == when.isoformat(timespec="seconds").replace("+00:00", "Z")
+
+
 class TestFilterLang:
     def test_keeps_matching_tag(self):
         msgs = [msg("a", lang="nl"), msg("b", lang="en"), msg("c", lang="nl")]
@@ -521,3 +551,218 @@ def test_streaming_memory_is_flat(tmp_path):
     n_large, peak_large = peak(large)
     assert n_small == 2_000 and n_large == 20_000
     assert peak_large < 2 * peak_small + 256_000
+
+
+# -- ingest against a reference reader ---------------------------------------
+# The reader below is ingest as it was before its fast paths: json.loads per
+# line, the general timestamp parser, and the public Message constructor.
+
+def reference_parse_timestamp(value) -> datetime:
+    if isinstance(value, bool):
+        raise ValueError(f"bad timestamp: {value!r}")
+    try:
+        if isinstance(value, (int, float)):
+            return datetime.fromtimestamp(int(value), tz=timezone.utc)
+        if isinstance(value, str):
+            raw = value.strip()
+            if raw.isascii() and raw.removeprefix("-").isdigit():
+                return datetime.fromtimestamp(int(raw), tz=timezone.utc)
+            if raw.endswith(("Z", "z")):
+                raw = raw[:-1] + "+00:00"
+            parsed = datetime.fromisoformat(raw)
+            if parsed.tzinfo is None:
+                return parsed.replace(tzinfo=timezone.utc)
+            return parsed.astimezone(timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        raise ValueError(f"bad timestamp: {value!r}") from None
+    raise ValueError(f"bad timestamp: {value!r}")
+
+
+def reference_message(line: str) -> Message:
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("line is not a JSON object")
+    try:
+        msg_id, created, text = record["id"], record["created_at"], record["text"]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]}") from None
+    if not isinstance(text, str):
+        raise ValueError("text is not a string")
+    if not isinstance(msg_id, str):
+        if not isinstance(msg_id, int) or isinstance(msg_id, bool):
+            raise ValueError("id is not a string or an integer")
+        msg_id = str(msg_id)
+    lang, platform, repost = record.get("lang"), record.get("platform"), record.get("retweet")
+    lang = "und" if lang is None else lang
+    platform = "twitter" if platform is None else platform
+    if not isinstance(lang, str) or not isinstance(platform, str):
+        raise ValueError(f"{'platform' if isinstance(lang, str) else 'lang'} is not a string")
+    if not (repost is None or isinstance(repost, bool)):
+        raise ValueError("retweet is not true or false")
+    for name, value in (("id", msg_id), ("text", text), ("lang", lang), ("platform", platform)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} holds a surrogate code point "
+                             "(an undecodable byte or an unpaired \\u escape)") from None
+    return Message(id=msg_id, timestamp=reference_parse_timestamp(created), text=text,
+                   lang=lang, platform=platform, is_repost=repost is True)
+
+
+def reference_ingest(path) -> tuple[list, list]:
+    """Accepted messages and every reject warning, in file order."""
+    accepted, warnings = [], []
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            try:
+                accepted.append(reference_message(line))
+            except ValueError as exc:
+                warnings.append(f"{path.name} line {lineno} rejected: {exc}")
+    return accepted, warnings
+
+
+def ingest_with_warnings(path) -> tuple[list, list]:
+    """ingest's messages and the warnings it logs, without the function-scoped caplog."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("opinionpulse.corpus")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        msgs = list(ingest(path))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return msgs, [record.getMessage() for record in records]
+
+
+def fields(m: Message) -> tuple:
+    """A message with its timestamp as written, offset included: == on aware datetimes
+    compares instants only."""
+    return m.id, m.timestamp.isoformat(), m.text, m.lang, m.platform, m.is_repost
+
+
+ODD_TIMESTAMPS = [
+    "2020-03-12T15:00:00Z", "2020-02-30T10:00:00Z", "2020-03-12T15:00:00z", "0999-06-01T10:00:00Z",
+    "9999-12-31T23:59:59Z", "0001-01-01T00:00:00Z", "2020-03-12T15:00:00.250Z",
+    "2020-03-12 15:00:00Z", "   2020-03-12T15:00Z", "2020-03-12T15:00:00+01:00", "20200312T150000Z",
+    "\u0662\u0660\u0662\u0660-03-12T15:00:00Z", "2020-03-12T15:00:0\u0661Z", "abcdefghijklmnopqrsZ",
+    " 2020-03-12T15:00:00Z", "2020-03-12T15:00:00Z ", "1583000000", "-5", "", "Z", 1583000000,
+    1e400, True, None, [2020],
+]
+TIMESTAMPS = st.one_of(
+    st.sampled_from(ODD_TIMESTAMPS),
+    st.datetimes().map(lambda d: d.isoformat(timespec="seconds") + "Z"),
+    st.text(alphabet="0123456789-:TZz+ .", min_size=17, max_size=22),
+    st.text(min_size=19, max_size=19).map(lambda s: s + "Z"),  # 20 characters, not a timestamp
+)
+ODD_TEXTS = ["tekst", " ", "\u3000\u3000", "\u3000x", "", "\x00", "\ud800", "\udcff x",
+             "a\U0001F600b", "tab\there", "  ", '"\\', "\x7f", "\r\n"]
+TEXTS = st.one_of(st.sampled_from(ODD_TEXTS), st.text(max_size=8))
+# the JSON line around the record: as written, with whitespace, or with data after it
+WRAPS = [lambda s: s, lambda s: " " + s, lambda s: s + "\t", lambda s: "\u3000" + s,
+         lambda s: s + " {}", lambda s: s + "x", lambda s: s[:-1], lambda s: f"[{s}]",
+         lambda s: "\ufeff" + s]
+
+
+@st.composite
+def corpus_lines(draw) -> bytes:
+    record = {
+        "id": draw(st.sampled_from(["1", "ïd", 7, True, None, [1], 1.5, "\udc80"])),
+        "created_at": draw(TIMESTAMPS),
+        "text": draw(TEXTS),
+        "lang": draw(st.sampled_from(["nl", "NL", "Nl", "und", "İ", "", None, 5, "\ud800"])),
+        "platform": draw(st.sampled_from([*PLATFORMS, "Twitter", "myspace", None, 3])),
+        "retweet": draw(st.sampled_from([True, False, None, "false", 1])),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(record)), max_size=2)):
+        del record[key]
+    line = draw(st.sampled_from(WRAPS))(json.dumps(record, ensure_ascii=draw(st.booleans())))
+    data = line.encode("utf-8", "surrogatepass")
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]  # an undecodable byte, read as a surrogate
+    return data + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+
+
+class TestIngestReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(corpus_lines(), max_size=8))
+    def test_messages_and_reject_warnings_match_reference(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            path.write_bytes(b"".join(lines))
+            expected, expected_warnings = reference_ingest(path)
+            msgs, warnings = ingest_with_warnings(path)
+        assert [fields(m) for m in msgs] == [fields(m) for m in expected]
+        assert warnings == expected_warnings
+
+    @settings(max_examples=300)
+    @given(value=st.one_of(TIMESTAMPS, st.text(max_size=25)))
+    def test_parse_timestamp_matches_general_path(self, value):
+        try:
+            expected = reference_parse_timestamp(value).isoformat()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_timestamp(value)
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_timestamp(value).isoformat() == expected
+
+    @settings(max_examples=200)
+    @given(text=TEXTS, lang=st.sampled_from(["nl", "NL", "und", "İ", "ǅ", ""]),
+           when=st.datetimes(timezones=st.sampled_from([None, timezone.utc,
+                                                         timezone(timedelta(hours=-3))])))
+    def test_message_normalizes_as_documented(self, text, lang, when):
+        if not text.strip():
+            with pytest.raises(ValueError, match="^message text is empty$"):
+                Message(id="1", timestamp=when, text=text, lang=lang)
+            return
+        try:
+            utc = (when.replace(tzinfo=timezone.utc) if when.tzinfo is None
+                   else when.astimezone(timezone.utc))
+        except OverflowError:
+            return
+        m = Message(id="1", timestamp=when, text=text, lang=lang)
+        assert (m.timestamp.isoformat(), m.timestamp.tzinfo, m.lang) == (
+            utc.isoformat(), timezone.utc, lang.lower())
+
+    @pytest.mark.parametrize("record, reason", [
+        # surrogate before bad timestamp, either form of timestamp
+        ({"created_at": "2020-02-30T10:00:00Z", "text": "x\ud800"},
+         "text holds a surrogate code point (an undecodable byte or an unpaired \\u escape)"),
+        ({"created_at": "gisteren", "id": "\udc80"},
+         "id holds a surrogate code point (an undecodable byte or an unpaired \\u escape)"),
+        # bad timestamp before empty text or unknown platform
+        ({"created_at": "2020-02-30T10:00:00Z", "text": "\u3000"},
+         "bad timestamp: '2020-02-30T10:00:00Z'"),
+        ({"created_at": "2020-03-12T25:00:00z", "platform": "myspace"},
+         "bad timestamp: '2020-03-12T25:00:00z'"),
+        ({"created_at": 1e400, "text": " "}, "bad timestamp: inf"),
+        # empty text before unknown platform
+        ({"text": "\u3000", "platform": "myspace"}, "message text is empty"),
+    ])
+    def test_reject_reason_of_a_line_with_two_faults(self, record, reason, tmp_path):
+        path = tmp_path / "c.jsonl"
+        line = json.dumps({"id": "1", "created_at": "2020-03-12T15:00:00Z", "text": "x", **record})
+        path.write_text(line + "\n", encoding="utf-8")
+        assert ingest_with_warnings(path) == ([], [f"c.jsonl line 1 rejected: {reason}"])
+        assert reference_ingest(path) == ([], [f"c.jsonl line 1 rejected: {reason}"])
+
+
+class TestCorpusStats:
+    def test_per_day_keys_are_iso_dates_in_order(self):
+        stats = CorpusStats()
+        for day in ("2020-03-02", "9999-12-31", "0999-06-01", "2020-03-01", "2020-03-02"):
+            stats.add(msg("tekst", ts=f"{day}T23:59:59Z"))
+        per_day = stats.to_dict()["per_day"]
+        assert list(per_day.items()) == [("0999-06-01", 1), ("2020-03-01", 1),
+                                         ("2020-03-02", 2), ("9999-12-31", 1)]
+        assert json.dumps(stats.to_dict()) == (
+            '{"total": 5, "rejected": 0, "per_day": {"0999-06-01": 1, "2020-03-01": 1, '
+            '"2020-03-02": 2, "9999-12-31": 1}, "per_platform": {"twitter": 5}}')
