@@ -47,8 +47,6 @@ def parse_timestamp(value) -> datetime:
     if isinstance(value, bool):
         raise ValueError(f"bad timestamp: {value!r}")
     try:
-        if type(value) is str and len(value) == 20 and value[19] == "Z" and value[0].isdigit():
-            return datetime.fromisoformat(value[:19] + "+00:00")  # writers' form; as below
         if isinstance(value, (int, float)):
             return datetime.fromtimestamp(int(value), tz=timezone.utc)
         if isinstance(value, str):
@@ -57,14 +55,18 @@ def parse_timestamp(value) -> datetime:
                 return datetime.fromtimestamp(int(raw), tz=timezone.utc)
             if raw.endswith(("Z", "z")):
                 raw = raw[:-1] + "+00:00"
-            parsed = datetime.fromisoformat(raw)
-            if parsed.tzinfo is None:
-                return parsed.replace(tzinfo=timezone.utc)
-            return parsed.astimezone(timezone.utc)
+            return _as_utc(datetime.fromisoformat(raw))
     except (OverflowError, OSError, ValueError):
         # not a date, past time_t or datetime's years 1-9999, or a NaN or infinite float
         raise ValueError(f"bad timestamp: {value!r}") from None
     raise ValueError(f"bad timestamp: {value!r}")
+
+
+def _as_utc(ts: datetime) -> datetime:
+    """``ts`` as aware UTC; a naive value is taken to be UTC already."""
+    if ts.tzinfo is timezone.utc:  # as parse_timestamp returns it: nothing to convert
+        return ts
+    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,10 +89,8 @@ class Message:
             raise ValueError("message text is empty")
         if self.platform not in PLATFORMS:
             raise ValueError(f"unknown platform {self.platform!r}")
-        ts = self.timestamp
-        if ts.tzinfo is not timezone.utc:  # parse_timestamp's results already are UTC
-            object.__setattr__(self, "timestamp", ts.replace(tzinfo=timezone.utc)
-                               if ts.tzinfo is None else ts.astimezone(timezone.utc))
+        if self.timestamp.tzinfo is not timezone.utc:
+            object.__setattr__(self, "timestamp", _as_utc(self.timestamp))
         if not self.lang.islower():  # a string that is islower() is its own lower()
             object.__setattr__(self, "lang", self.lang.lower())
 
@@ -143,7 +143,7 @@ class MessageStream:
         return self.stats
 
     def __iter__(self):
-        return self._iterator  # a for loop steps it without calling __next__ below
+        return self
 
     def __next__(self):
         return next(self._iterator)
@@ -249,7 +249,9 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
 
 
 def format_timestamp(ts: datetime) -> str:
-    """UTC ``ts`` as every writer emits it, with a four-digit year: ``0999-06-01T10:00:00Z``."""
+    """``ts`` in UTC as every writer emits it, with a four-digit year: ``0999-06-01T10:00:00Z``.
+    A naive ``ts`` is taken to be UTC, as ``Message`` takes it."""
+    ts = _as_utc(ts)
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (ts.year, ts.month, ts.day,
                                                ts.hour, ts.minute, ts.second)
 

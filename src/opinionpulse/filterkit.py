@@ -21,27 +21,6 @@ from .corpus import Message
 from .exceptions import InputError, input_json
 from .tokenization import normalize_counts
 
-try:  # the parser re.compile runs
-    from re import _parser as _regex_parser
-except ImportError:  # Python 3.10
-    import sre_parse as _regex_parser
-
-_RANGE_SCAN = 0x10000  # a wider character range is not scanned and counts as cased
-
-
-def _cased_literal(node) -> bool:
-    """True if the parsed regex ``node`` names a character, alone, in a set or in
-    a range, that ``str.casefold`` changes: it walks every nested pattern, and
-    only ``(LITERAL | NOT_LITERAL, code)`` and ``(RANGE, (low, high))`` name one."""
-    if isinstance(node, tuple) and len(node) == 2 and getattr(node[0], "name", None) in (
-            "LITERAL", "NOT_LITERAL", "RANGE"):
-        low, high = node[1] if node[0].name == "RANGE" else (node[1], node[1])
-        return high - low >= _RANGE_SCAN or any(chr(c) != chr(c).casefold()
-                                                for c in range(low, high + 1))
-    if isinstance(node, (tuple, list, _regex_parser.SubPattern)):
-        return any(_cased_literal(part) for part in node)
-    return False
-
 
 @dataclass(frozen=True)
 class TopicQuery:
@@ -50,10 +29,8 @@ class TopicQuery:
     Keywords are stored lowercase and matched as case-insensitive
     substrings (no word boundaries). The regex, if not empty, is compiled
     once and searched against the case-folded text, unanchored, with
-    ``.`` not matching newlines; a regex that names a character that
-    ``casefold()`` changes, as in ``Corona`` or ``\\x41``, is compiled with
-    ``re.IGNORECASE``, and one whose upper case is only in escapes such as
-    ``\\S`` is compiled as written, which is faster.
+    ``.`` not matching newlines; a regex that differs from its own
+    ``casefold()`` is compiled with ``re.IGNORECASE``.
     """
 
     name: str
@@ -70,10 +47,10 @@ class TopicQuery:
         if not all(k.strip() for k in keywords):  # "" is in every text
             raise InputError(f"query {self.name!r} has a blank keyword")
         if self.regex:
+            # the text is case-folded; upper case in the pattern would never match it
+            flags = re.IGNORECASE if self.regex != self.regex.casefold() else 0
             try:
-                # the text is case-folded, so an upper-case literal needs the flag to match it
-                cased = _cased_literal(_regex_parser.parse(self.regex))
-                pattern = re.compile(self.regex, re.IGNORECASE if cased else 0)
+                pattern = re.compile(self.regex, flags)
             except re.error as exc:
                 raise InputError(f"query {self.name!r} has invalid regex: {exc}") from None
             object.__setattr__(self, "_pattern", pattern)

@@ -107,8 +107,6 @@ def _timestamp_of(item) -> datetime:
 
 
 def _value_of(score) -> float:
-    if type(score) is float:  # a replayed CSV value, which has no .value to look up
-        return score
     return float(getattr(score, "value", score))
 
 

@@ -337,6 +337,13 @@ class TestRoundTrip:
     def test_format_timestamp_is_isoformat_in_seconds_with_z(self, when):
         assert format_timestamp(when) == when.isoformat(timespec="seconds").replace("+00:00", "Z")
 
+    def test_format_timestamp_writes_the_utc_instant(self):
+        # an offset is converted and a naive value is taken as UTC, as Message takes them
+        plus_one = datetime(2020, 3, 1, 0, 30, tzinfo=timezone(timedelta(hours=1)))
+        assert format_timestamp(plus_one) == "2020-02-29T23:30:00Z"
+        assert format_timestamp(datetime(2020, 3, 1, 0, 30)) == "2020-03-01T00:30:00Z"
+        assert format_timestamp(plus_one) == format_timestamp(Message("m", plus_one, "x").timestamp)
+
 
 class TestFilterLang:
     def test_keeps_matching_tag(self):

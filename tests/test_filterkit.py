@@ -68,25 +68,6 @@ class TestTopicQuery:
         with pytest.raises(InputError):
             TopicQuery(name="q", regex="([")
 
-    @pytest.mark.parametrize("regex, flagged", [
-        ("Corona|RIVM", True), ("corona|(?:a|(?=B))", True), ("[A-Z]", True), ("[^A]", True),
-        ("[@-\\\\]", True),  # a range holding A-Z between two uncased ends
-        (r"\x41", True), (r"\u0043", True), (r"\N{LATIN CAPITAL LETTER A}", True),
-        (r"[\U00020000-\U0010ffff]", True),  # too wide to scan: kept, to be safe
-        (r"\S*afstand", False), (r"\W+\D\d\B\bx\A\Z", False), ("corona|rivm", False),
-        (r"(?P<Naam>x)(?P=Naam)", False), ("(?x) a  # Comment", False), ("[a-z]", False),
-    ])
-    def test_ignorecase_only_for_a_cased_literal(self, regex, flagged):
-        q = TopicQuery(name="q", regex=regex)
-        assert bool(q._pattern.flags & re.IGNORECASE) == flagged
-
-    @pytest.mark.parametrize("regex", [r"\x41fstand", r"\N{LATIN CAPITAL LETTER A}fstand",
-                                       r"\S*Afstand", r"\S*afstand"])
-    def test_regex_matches_text_of_any_case(self, regex):
-        q = TopicQuery(name="q", regex=regex)
-        assert q.matches("hou AFSTAND") and q.matches("hou afstand")
-        assert not q.matches("hou afstant")
-
     def test_keyword_with_edge_spaces_is_kept(self):
         q = TopicQuery(name="q", keywords=frozenset({" rivm"}))
         assert q.matches("volgens het RIVM")
@@ -156,8 +137,7 @@ class TestMatches:
     @given(
         keywords=st.frozensets(st.text(alphabet="abcAB ßé", min_size=1, max_size=3)
                                .filter(str.strip), max_size=3),
-        regex=st.sampled_from([None, "", "ab", "c.a", "^b", "é$", "a|bc", "Ab", "C.a", "\\S+X",
-                               "\\S+a", "\\Wb"]),
+        regex=st.sampled_from([None, "", "ab", "c.a", "^b", "é$", "a|bc", "Ab", "C.a", "\\S+X"]),
         text=st.text(alphabet="abcABC ßéÉ\n", max_size=12),
     )
     def test_one_matching_rule(self, keywords, regex, text):
