@@ -18,7 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .exceptions import InputError
+from .exceptions import InputError, json_loads
 
 try:  # the blake2b that hashlib returns, without the OpenSSL library hashlib maps (~3.5 MiB)
     from _blake2 import blake2b
@@ -167,7 +167,7 @@ def _message_from_json(line: str) -> Message:
     except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(line):  # json.loads gives the same object, or the same error
-        record = json.loads(line)
+        record = json_loads(line)
     if not isinstance(record, dict):
         raise ValueError("line is not a JSON object")
     try:
@@ -234,7 +234,7 @@ def ingest(path, fmt: str = "jsonl") -> MessageStream:
                     continue
                 try:
                     msg = parse(line)
-                except (ValueError, json.JSONDecodeError) as exc:
+                except ValueError as exc:
                     stats.reject()
                     if stats.rejected <= REJECT_WARNINGS:
                         logger.warning("%s line %d rejected: %s", path.name, lineno, exc)

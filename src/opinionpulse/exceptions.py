@@ -1,6 +1,7 @@
 """Exception types shared across the pipeline, and the one reader of input files."""
 
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -54,6 +55,29 @@ def input_lines(path, kind: str):
         raise InputError(f"{path.name}: {exc}, line {lineno}") from None
 
 
+def json_loads(text):
+    """``json.loads``, raising ``ValueError`` for a document nested too deeply to decode."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def _deepest_line(text: str) -> int:
+    """The line of the first bracket at the deepest nesting of JSON ``text``."""
+    depth = deepest = at = 0
+    # each JSON string, so its brackets are skipped, and each bracket
+    for match in re.finditer(r'"(?:[^"\\]|\\.)*"|[\[\]{}]', text):
+        token = match.group()
+        if token in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, match.start()
+        elif token in ("]", "}"):
+            depth -= 1
+    return text.count("\n", 0, at) + 1
+
+
 def input_json(path, kind: str):
     """Decode the ``kind`` file at ``path``, read by ``input_lines``, as one JSON document."""
     with input_lines(path, kind) as lines:
@@ -62,3 +86,6 @@ def input_json(path, kind: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{Path(path).name}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{Path(path).name}: malformed JSON: nested too deeply, "
+                         f"line {_deepest_line(text)}") from None

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..constants import LABELS
 from ..corpus import Message, dedup, message_to_record, parse_timestamp, sample
-from ..exceptions import InputError, input_lines
+from ..exceptions import InputError, input_lines, json_loads
 
 if TYPE_CHECKING:  # an annotation only: kappa, train and predict need no filterkit
     from ..filterkit import TopicQuery
@@ -119,7 +119,7 @@ def read_labeled_jsonl(path) -> Iterator:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            record = json_loads(line)
             if not isinstance(record, dict) or not record.keys() >= {"created_at", "stance"}:
                 raise ValueError("expected an object with created_at and stance")
             if record["stance"] not in LABELS:

@@ -180,7 +180,9 @@ def evaluate(model: StanceModel, test: Sequence[LabeledExample]) -> EvaluationRe
     """Report of the model's labels for ``test``, classified ``PREDICT_BATCH`` at a time.
 
     A text's label does not depend on its batch, so the report equals that
-    of one ``predict_batch`` over the whole set, in bounded memory.
+    of one ``predict_batch`` over the whole set. Beyond one gold and one
+    predicted label per text, memory is that of one batch plus the model's
+    word cache.
     """
     if not test:
         raise InputError("empty evaluation set")

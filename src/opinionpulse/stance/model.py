@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..corpus import Message
-from ..exceptions import InputError
+from ..exceptions import InputError, json_loads
 from ..tokenization import tokenize
 from .data import LABELS, LabeledExample
 # Hyperparams lives in params, which the CLI imports without numpy
@@ -38,8 +38,11 @@ MODEL_FORMAT_VERSION = 2
 
 # initial_rows fills this many rows at a time, so its temporaries stay small
 INIT_BLOCK_ROWS = 1024
-# train featurizes its vocabulary this many words at a time, for the same reason
+# train and predict featurize words this many at a time, for the same reason
 FEATURIZE_BLOCK_WORDS = 256
+# predict sums the feature vectors of at most this many rows at a time, cut
+# between words; a word with more rows is summed in a block of its own
+RESOLVE_BLOCK_ROWS = 2048
 # distinct words whose feature sums a model keeps for predict; emptied when full
 PREDICT_CACHE_WORDS = 1 << 15
 # messages label_corpus reads ahead and labels with one predict_batch call
@@ -232,6 +235,43 @@ def _sgd_step(E: np.ndarray, W: np.ndarray, b: np.ndarray, urows: np.ndarray,
     return math.log(total) - (z[y] - top)
 
 
+def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
+    """(vocabulary, touched rows, per-example rows and weights) of a training set.
+
+    The vocabulary lists each word in first-seen order. The touched rows are
+    the sorted ids of every row some word has. Each example gets its unique
+    indices into the touched rows and, as a float32 column, their weights,
+    or None when it has no words.
+    """
+    vocab: dict[str, int] = {}  # word -> vocab id, in first-seen order
+    tokenized = []
+    for ex in examples:
+        words = tokenize(ex.text)
+        tokenized.append(words)
+        for word in words:
+            vocab.setdefault(word, len(vocab))
+    vocab_words = list(vocab)
+    blocks = [featurize(vocab_words[start : start + FEATURIZE_BLOCK_WORDS], vocab, hp)
+              for start in range(0, len(vocab_words), FEATURIZE_BLOCK_WORDS)]
+    empty = [np.empty(0, np.int64)]
+    vocab_rows = np.concatenate([block_rows for block_rows, _ in blocks] or empty)
+    counts = np.concatenate([block_counts for _, block_counts in blocks] or empty)
+    del blocks
+    # every vocabulary word occurs in some example, so its rows are the touched rows;
+    # the inverse maps each global row id to its index among them, in sorted order
+    touched, local = np.unique(vocab_rows, return_inverse=True)
+    del vocab_rows
+    features = dict(zip(vocab_words, np.split(local, np.cumsum(counts)[:-1])))
+    compressed = []
+    for words in tokenized:
+        if words:
+            urows, weights = compress(np.concatenate([features[word] for word in words]))
+            compressed.append((urows, weights.astype(np.float32)[:, None]))
+        else:
+            compressed.append(None)
+    return vocab_words, touched, compressed
+
+
 def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> StanceModel:
     """Train a classifier on labeled examples.
 
@@ -247,35 +287,9 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     if len({ex.label for ex in examples}) < 2:
         raise InputError("degenerate training set: fewer than two distinct labels")
 
-    vocab: dict[str, int] = {}  # word -> vocab id, in first-seen order
-    tokenized = []
-    for ex in examples:
-        words = tokenize(ex.text)
-        tokenized.append(words)
-        for word in words:
-            vocab.setdefault(word, len(vocab))
-    vocab_words = list(vocab)
-    blocks = [featurize(vocab_words[start : start + FEATURIZE_BLOCK_WORDS], vocab, hp)
-              for start in range(0, len(vocab_words), FEATURIZE_BLOCK_WORDS)]
-    empty = [np.empty(0, np.int64)]
-    vocab_rows = np.concatenate([block_rows for block_rows, _ in blocks] or empty)
-    counts = np.concatenate([block_counts for _, block_counts in blocks] or empty)
-    # every vocabulary word occurs in some example, so its rows are the touched rows;
-    # the inverse maps each global row id to its index among them, in sorted order
-    touched, local = np.unique(vocab_rows, return_inverse=True)
-    features = dict(zip(vocab_words, np.split(local, np.cumsum(counts)[:-1])))
-
-    # per example: its unique local rows and, as a float32 column, their weights
-    compressed = []
-    label_ids = []
-    for ex, words in zip(examples, tokenized):
-        if words:
-            urows, weights = compress(np.concatenate([features[word] for word in words]))
-            compressed.append((urows, weights.astype(np.float32)[:, None]))
-        else:
-            compressed.append(None)
-        label_ids.append(LABELS.index(ex.label))
-
+    # the featurization state is local to _training_rows, so none of it lives during SGD
+    vocab_words, touched, compressed = _training_rows(examples, hp)
+    label_ids = [LABELS.index(ex.label) for ex in examples]
     rng = random.Random(hp.seed)
     E = initial_rows(hp.seed, touched, hp.dim)
     W = np.zeros((len(LABELS), hp.dim), dtype=np.float32)
@@ -305,28 +319,46 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     return model
 
 
-def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarray, int]]:
-    """(sum of feature vectors, feature count) of each word, in one batch.
+def _row_vectors(model: StanceModel, rows: np.ndarray) -> np.ndarray:
+    """float32 vectors of embedding ``rows``: stored ones from ``E``, any other its initial one."""
+    hp = model.hyperparams
+    if not model.rows.size:
+        return initial_rows(hp.seed, rows, hp.dim)
+    at = np.searchsorted(model.rows, rows)
+    fresh = model.rows.take(at, mode="clip") != rows
+    vectors = model.E.take(at, axis=0, mode="clip")
+    vectors[fresh] = initial_rows(hp.seed, rows[fresh], hp.dim)
+    return vectors
 
-    Stored rows come from ``E``; any other row is its initial vector.
+
+def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarray, int]]:
+    """(sum of feature vectors, feature count) of each word.
+
+    Words are featurized FEATURIZE_BLOCK_WORDS at a time, and their vectors
+    fetched and summed in float64 in blocks of at most RESOLVE_BLOCK_ROWS
+    rows, cut between words. A word's rows are added in featurize order
+    whatever the blocks, so its sum does not depend on them.
     """
     hp = model.hyperparams
-    flat, counts = featurize(words, model.word_ids, hp)
-    if model.rows.size:
-        at = np.searchsorted(model.rows, flat)
-        stored = model.rows.take(at, mode="clip") == flat
-        vectors = model.E.take(at, axis=0, mode="clip")
-        fresh = ~stored
-        vectors[fresh] = initial_rows(hp.seed, flat[fresh], hp.dim)
-    else:
-        vectors = initial_rows(hp.seed, flat, hp.dim)
     sums = np.zeros((len(words), hp.dim))
-    # reduceat needs a non-empty segment per start; a word shorter than
-    # char_ngram_min and outside the vocabulary has no features
-    nonempty = np.flatnonzero(counts)
-    if nonempty.size:
-        starts = np.cumsum(counts) - counts
-        sums[nonempty] = np.add.reduceat(vectors, starts[nonempty], axis=0, dtype=np.float64)
+    counts = np.empty(len(words), dtype=np.int64)
+    for first in range(0, len(words), FEATURIZE_BLOCK_WORDS):
+        flat, block_counts = featurize(words[first : first + FEATURIZE_BLOCK_WORDS],
+                                       model.word_ids, hp)
+        counts[first : first + block_counts.size] = block_counts
+        # reduceat needs a non-empty segment per start; a word shorter than
+        # char_ngram_min and outside the vocabulary has no features
+        nonempty = np.flatnonzero(block_counts)
+        stops = np.cumsum(block_counts)[nonempty]
+        starts = stops - block_counts[nonempty]
+        lo = 0
+        while lo < nonempty.size:
+            # the words whose rows end within the cap, and at least one word
+            hi = max(int(np.searchsorted(stops, starts[lo] + RESOLVE_BLOCK_ROWS, "right")), lo + 1)
+            vectors = _row_vectors(model, flat[starts[lo] : stops[hi - 1]])
+            sums[first + nonempty[lo:hi]] = np.add.reduceat(
+                vectors, starts[lo:hi] - starts[lo], axis=0, dtype=np.float64)
+            lo = hi
     return list(zip(sums, counts.tolist()))
 
 
@@ -425,9 +457,9 @@ def load_model(path) -> StanceModel:
     with open(path, "rb") as handle:
         header_line = handle.readline()
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            header = None
+            header = json_loads(header_line)
+        except ValueError as exc:
+            raise InputError(f"{path.name}: malformed model header: {exc}, line 1") from None
         if not isinstance(header, dict):
             raise InputError(f"{path.name}: malformed model header")
         version = header.get("format_version")

@@ -102,6 +102,18 @@ class TestIngest:
         # the diagnostic names the line number
         assert any("line 1" in rec.getMessage() for rec in caplog.records)
 
+    def test_line_nested_too_deeply_skipped_and_counted(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        good = ('{"id":"%d","created_at":"2020-03-12T15:00:00Z","text":"bericht",'
+                '"lang":"nl","platform":"twitter"}\n')
+        path.write_text(good % 1 + "[" * 100_000 + "\n" + good % 2, encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="opinionpulse.corpus"):
+            stream = ingest(path)
+            assert [m.id for m in stream] == ["1", "2"]
+        assert stream.stats.rejected == 1
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "c.jsonl line 2 rejected: JSON nested too deeply"]
+
     def test_1000_lines_with_3_malformed(self, tmp_path):
         path = tmp_path / "c.jsonl"
         bad_at = {100, 500, 900}

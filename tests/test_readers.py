@@ -97,6 +97,26 @@ def test_csv_error_names_file_and_line(tmp_path):
         read("read_scored_csv", path)
 
 
+# JSON nested deeper than the decoder's recursion limit, on line 2 of the file
+DEEP_JSON = {
+    "read_labeled_jsonl": (LABELED % 0) + "[" * 100_000 + "\n",
+    "load_events": '[\n{"date": "2020-03-01", "label": ' + "[" * 100_000 + "\n",
+    "load_query": '{"name": "q",\n"keywords": ' + "[" * 100_000 + "]" * 100_000 + "\n}\n",
+}
+
+
+@pytest.mark.parametrize("name", DEEP_JSON)
+def test_json_nested_too_deeply_names_file_and_line(name, tmp_path):
+    filename = READERS[name][2]
+    path = tmp_path / filename
+    path.write_text(DEEP_JSON[name], encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read(name, path)
+    assert str(info.value).startswith(f"{filename}: ")
+    assert "nested too deeply" in str(info.value)
+    assert str(info.value).endswith(", line 2")
+
+
 @pytest.mark.parametrize("name", ["load_lexicon", "read_labeled_tsv"])
 def test_crlf_line_ends_read_as_lf(name, tmp_path):
     _, _, filename, text = READERS[name]

@@ -1,13 +1,16 @@
 """Classifier internals: features, training, persistence."""
 
 import json
+import random
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_separable
@@ -395,6 +398,110 @@ class TestSparseRows:
         assert len(cold._word_cache) <= 50
 
 
+BLOCK_HP = Hyperparams(dim=4, epochs=2, lr=0.2, char_ngram_min=5, char_ngram_max=6, bucket=97, seed=3)
+# under BLOCK_HP a word of at most two characters has no n-gram, so "a", "é",
+# "😀" and "xy" have no features, while "zz" and "qq" have just their vocab id
+FEATURELESS = ["a", "é", "😀", "xy"]
+LONG_WORD = "supercalifragilistic"  # 36 rows, more than any patched cap
+
+
+@pytest.fixture(scope="module")
+def block_models():
+    """A trained BLOCK_HP model, and the same model with no stored rows."""
+    examples = [LabeledExample(text=f"zz aaaa steun ééé {LONG_WORD} ding{i}", label="supports")
+                for i in range(5)]
+    examples += [LabeledExample(text=f"qq bbbb onzin 😀ß ding{i}", label="rejects") for i in range(5)]
+    model = train(examples, BLOCK_HP)
+    bare = replace(model, rows=np.empty(0, np.int64), E=np.empty((0, BLOCK_HP.dim), np.float32))
+    return {True: model, False: bare}
+
+
+class TestResolveBlocks:
+    """_resolve_words gives the same bits whatever its block caps."""
+
+    @staticmethod
+    def resolve(model, words, rows_cap, words_cap):
+        with patch.multiple(model_module, RESOLVE_BLOCK_ROWS=rows_cap,
+                            FEATURIZE_BLOCK_WORDS=words_cap):
+            model._word_cache.clear()
+            return (model_module._resolve_words(model, words),
+                    predict_batch(model, [" ".join(words[i::3]) for i in range(3)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(words=st.lists(st.one_of(
+        st.sampled_from(["zz", "aaaa", "steun", "ééé", LONG_WORD, "ding3", "onzin", "😀ß"]),
+        st.sampled_from(FEATURELESS),
+        st.text(alphabet="abcdeéß😀", min_size=1, max_size=30),
+    ), max_size=40), cap=st.sampled_from([1, 2, 7]), words_cap=st.sampled_from([1, 3, 256]),
+        stored=st.booleans())
+    @example(words=[LONG_WORD, "a", "zz", LONG_WORD, "ééé", "xy", "😀ß"], cap=7, words_cap=3,
+             stored=True)
+    @example(words=FEATURELESS, cap=1, words_cap=2, stored=False)
+    def test_blocks_match_one_block(self, block_models, words, cap, words_cap, stored):
+        model = block_models[stored]
+        sums, probs = self.resolve(model, words, cap, words_cap)
+        one_sums, one_probs = self.resolve(model, words, 10**9, 10**9)
+        assert [count for _, count in sums] == [count for _, count in one_sums]
+        for (got, _), (want, _) in zip(sums, one_sums, strict=True):
+            assert np.array_equal(got, want)
+        for (label, got), (one_label, want) in zip(probs, one_probs, strict=True):
+            assert label == one_label
+            assert np.array_equal(got, want)
+
+    def test_featureless_and_oversized_words(self, block_models):
+        sums, _ = self.resolve(block_models[True], [*FEATURELESS, "zz", LONG_WORD], 2, 256)
+        assert [count for _, count in sums] == [0, 0, 0, 0, 1, 36]
+        assert not any(vector.any() for vector, _ in sums[:4])
+
+    def test_label_corpus_memory_is_per_block(self, monkeypatch):
+        # 64 texts of 400 distinct 8-letter words: 25,600 new words of 26 rows each
+        model = train(two_class_examples(20), Hyperparams(dim=50, epochs=1, seed=1))
+        words = ["".join(chr(97 + i // 26**k % 26) for k in range(8)) for i in range(64 * 400)]
+        msgs = [make_message(" ".join(words[i : i + 400]), i) for i in range(0, len(words), 400)]
+        monkeypatch.setattr(model_module, "PREDICT_CACHE_WORDS", 256)
+        tracemalloc.start()
+        try:
+            labeled = list(label_corpus(model, msgs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(labeled) == len(msgs)
+        assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_featurization_state_is_freed_before_sgd(self, monkeypatch):
+        rng = random.Random(11)
+        hp = Hyperparams(dim=4, epochs=1, bucket=1000, seed=1)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        examples = [LabeledExample(text=" ".join("".join(rng.choices(letters, k=30))
+                                                 for _ in range(50)), label=LABELS[i % 3])
+                    for i in range(100)]
+        seen = {}
+
+        class FirstStep(Exception):
+            pass
+
+        def spy(E, W, b, *_):
+            seen["traced"] = tracemalloc.get_traced_memory()[0]
+            seen["params"] = E.nbytes + W.nbytes + b.nbytes
+            raise FirstStep
+
+        monkeypatch.setattr(model_module, "_sgd_step", spy)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstStep):
+                train(examples, hp)
+        finally:
+            tracemalloc.stop()
+        vocab = {}
+        for ex in examples:
+            for word in tokenize(ex.text):
+                vocab.setdefault(word, len(vocab))
+        # each example's unique rows, int64, and their float32 weights
+        per_example = sum(np.unique(featurize(tokenize(ex.text), vocab, hp)[0]).size * (8 + 4)
+                          for ex in examples)
+        assert seen["traced"] <= seen["params"] + per_example + 2**20, (seen, per_example)
+
+
 class TestPredict:
     def test_returns_label_and_simplex(self, trained):
         label, probs = predict(trained, "aaa bbb nieuw")
@@ -582,6 +689,17 @@ class TestPersistence:
         path.write_bytes(b"[1, 2]\n")
         with pytest.raises(InputError, match=r"list\.bin: malformed model header"):
             load_model(path)
+
+    @pytest.mark.parametrize("header, reason", [
+        (b"[" * 100_000, "JSON nested too deeply"),
+        (b"\x80\x81abc", "'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"),
+    ])
+    def test_undecodable_header_names_line(self, tmp_path, header, reason):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(InputError) as info:
+            load_model(path)
+        assert str(info.value) == f"bad.bin: malformed model header: {reason}, line 1"
 
     def test_unsupported_version(self, trained, tmp_path):
         path = tmp_path / "model.bin"
