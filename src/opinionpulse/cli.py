@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import tempfile
+import time
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -597,11 +598,13 @@ def main(argv=None) -> int:
 
     Each ``cmd_*`` returns its run-record fields; with ``--log``, stderr
     gets a ``"run"`` record first and, after success, one final record
-    named after the command. Library warnings, such as rejected corpus
+    named after the command, with the run's ``wall_s`` and ``peak_rss_mb``
+    (forked workers included). Library warnings, such as rejected corpus
     lines, go to ``sys.stderr`` for the length of the run. In-process,
     ``main()`` leaves the ``opinionpulse`` logger as it found it: its
     handlers, level and ``propagate`` flag are restored on every exit path.
     """
+    start = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -621,7 +624,11 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.log:
-            _log(event=args.command, **fields)
+            import resource  # ru_maxrss is in KiB; children are the waited-for workers
+            peak = max(resource.getrusage(who).ru_maxrss
+                       for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+            _log(event=args.command, **fields, wall_s=round(time.perf_counter() - start, 4),
+                 peak_rss_mb=round(peak / 1024, 2))
         return 0
 
 

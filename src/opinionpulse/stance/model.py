@@ -45,6 +45,8 @@ FEATURIZE_BLOCK_WORDS = 256
 RESOLVE_BLOCK_ROWS = 2048
 # distinct words whose feature sums a model keeps for predict; emptied when full
 PREDICT_CACHE_WORDS = 1 << 15
+# bytes per block of predict's word sums; numpy advises huge pages from 4 MiB on
+SUM_BLOCK_BYTES = 1 << 21
 # messages label_corpus reads ahead and labels with one predict_batch call
 PREDICT_BATCH = 64
 
@@ -120,13 +122,13 @@ def featurize(words: Sequence[str], word_ids: dict[str, int],
 
 
 def compress(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rows plus per-row weights summing to 1.
+    """Unique rows, in their own integer dtype, plus per-row weights summing to 1.
 
     The embedded text is the feature mean; folding duplicates into
     weights keeps SGD updates exact where fancy-indexed `-=` would
     apply a repeated row only once.
     """
-    urows, counts = np.unique(np.asarray(rows, dtype=np.int64), return_counts=True)
+    urows, counts = np.unique(np.asarray(rows), return_counts=True)
     weights = counts / counts.sum()
     return urows, weights
 
@@ -144,8 +146,7 @@ class StanceModel:
 
     def __post_init__(self):
         self.word_ids = {word: i for i, word in enumerate(self.vocab)}
-        # word -> (sum of its feature vectors, feature count), for predict
-        self._word_cache: dict[str, tuple[np.ndarray, int]] = {}
+        self._word_cache = _SumTable(0, self.hyperparams.dim)  # predict_batch sizes it
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -239,9 +240,9 @@ def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
     """(vocabulary, touched rows, per-example rows and weights) of a training set.
 
     The vocabulary lists each word in first-seen order. The touched rows are
-    the sorted ids of every row some word has. Each example gets its unique
-    indices into the touched rows and, as a float32 column, their weights,
-    or None when it has no words.
+    the sorted int64 ids of every row some word has. Each example gets its
+    unique int32 indices into the touched rows and, as a float32 column,
+    their weights, or None when it has no words.
     """
     vocab: dict[str, int] = {}  # word -> vocab id, in first-seen order
     tokenized = []
@@ -261,6 +262,7 @@ def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
     # the inverse maps each global row id to its index among them, in sorted order
     touched, local = np.unique(vocab_rows, return_inverse=True)
     del vocab_rows
+    local = local.astype(np.int32)
     features = dict(zip(vocab_words, np.split(local, np.cumsum(counts)[:-1])))
     compressed = []
     for words in tokenized:
@@ -331,54 +333,61 @@ def _row_vectors(model: StanceModel, rows: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _resolve_words(model: StanceModel, words: list[str]) -> list[tuple[np.ndarray, int]]:
-    """(sum of feature vectors, feature count) of each word.
+class _SumTable:
+    """Float64 feature sums, in row blocks allocated as slots fill, and int64 counts of words."""
 
-    Words are featurized FEATURIZE_BLOCK_WORDS at a time, and their vectors
-    fetched and summed in float64 in blocks of at most RESOLVE_BLOCK_ROWS
-    rows, cut between words. A word's rows are added in featurize order
-    whatever the blocks, so its sum does not depend on them.
+    def __init__(self, capacity: int, dim: int):
+        self.slots: dict[str, int] = {}
+        self.counts = np.empty(capacity, dtype=np.int64)
+        self.blocks: list[np.ndarray] = []
+        self.block_rows = max(1, min(capacity, SUM_BLOCK_BYTES // (8 * dim)))
+
+    def rows(self, slots: np.ndarray) -> np.ndarray:
+        """The sums of ``slots``, in that order, as one matrix."""
+        block, row = np.divmod(slots, self.block_rows)
+        out = np.empty((slots.size, self.blocks[0].shape[1]))
+        for k, sums in enumerate(self.blocks):  # np.unique would import numpy.ma
+            at = block == k
+            out[at] = sums[row[at]]
+        return out
+
+
+def _runs(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Items of ``counts`` rows each in runs of up to RESOLVE_BLOCK_ROWS rows, cut between items.
+
+    Yields a run's items that have rows (reduceat's segments), their starts in it, its row range.
     """
-    hp = model.hyperparams
-    sums = np.zeros((len(words), hp.dim))
-    counts = np.empty(len(words), dtype=np.int64)
-    for first in range(0, len(words), FEATURIZE_BLOCK_WORDS):
-        flat, block_counts = featurize(words[first : first + FEATURIZE_BLOCK_WORDS],
-                                       model.word_ids, hp)
-        counts[first : first + block_counts.size] = block_counts
-        # reduceat needs a non-empty segment per start; a word shorter than
-        # char_ngram_min and outside the vocabulary has no features
-        nonempty = np.flatnonzero(block_counts)
-        stops = np.cumsum(block_counts)[nonempty]
-        starts = stops - block_counts[nonempty]
-        lo = 0
-        while lo < nonempty.size:
-            # the words whose rows end within the cap, and at least one word
-            hi = max(int(np.searchsorted(stops, starts[lo] + RESOLVE_BLOCK_ROWS, "right")), lo + 1)
-            vectors = _row_vectors(model, flat[starts[lo] : stops[hi - 1]])
-            sums[first + nonempty[lo:hi]] = np.add.reduceat(
-                vectors, starts[lo:hi] - starts[lo], axis=0, dtype=np.float64)
-            lo = hi
-    return list(zip(sums, counts.tolist()))
+    nonempty = np.flatnonzero(counts)
+    stops = np.cumsum(counts)[nonempty]
+    starts = stops - counts[nonempty]
+    lo = 0
+    while lo < nonempty.size:
+        # the items whose rows end within the cap, and at least one item
+        hi = max(int(np.searchsorted(stops, starts[lo] + RESOLVE_BLOCK_ROWS, "right")), lo + 1)
+        yield nonempty[lo:hi], starts[lo:hi] - starts[lo], int(starts[lo]), int(stops[hi - 1])
+        lo = hi
 
 
-def _word_sums(model: StanceModel, words: list[str]) -> dict[str, tuple[np.ndarray, int]]:
-    """Feature sum and count of every distinct word, through the model's word cache.
+def _resolve_words(model: StanceModel, words: list[str], table: _SumTable) -> None:
+    """Give distinct new ``words`` slots in ``table``, with their feature counts and sums.
 
-    The cache holds at most PREDICT_CACHE_WORDS words and is emptied when
-    the new words of a batch would not fit.
+    Words are featurized FEATURIZE_BLOCK_WORDS at a time, cut where a table block ends, and
+    summed straight into their slots; a word's rows add in featurize order whatever the cuts.
     """
-    cache = model._word_cache
-    found = {word: cache.get(word) for word in dict.fromkeys(words)}
-    missing = [word for word, entry in found.items() if entry is None]
-    if missing:
-        new = dict(zip(missing, _resolve_words(model, missing)))
-        found.update(new)
-        if len(cache) + len(new) > PREDICT_CACHE_WORDS:
-            cache.clear()
-        if len(new) <= PREDICT_CACHE_WORDS:
-            cache.update(new)
-    return found
+    first, done = len(table.slots), 0
+    table.slots.update(zip(words, range(first, first + len(words))))
+    while done < len(words):
+        block, row = divmod(first + done, table.block_rows)
+        if block == len(table.blocks):
+            table.blocks.append(np.empty((table.block_rows, model.hyperparams.dim)))
+        sums = table.blocks[block][row : row + min(FEATURIZE_BLOCK_WORDS, len(words) - done)]
+        flat, counts = featurize(words[done : done + len(sums)], model.word_ids, model.hyperparams)
+        table.counts[first + done : first + done + counts.size] = counts
+        sums[:] = 0  # a word shorter than char_ngram_min and outside the vocabulary has no features
+        for at, starts, lo, hi in _runs(counts):
+            vectors = _row_vectors(model, flat[lo:hi])
+            sums[at] = np.add.reduceat(vectors, starts, axis=0, dtype=np.float64)
+        done += counts.size
 
 
 def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
@@ -392,25 +401,31 @@ def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
 def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, np.ndarray]]:
     """``predict`` for each text, classifying the batch as one matrix.
 
-    The new words of all texts are resolved together. Each text's logits (a
-    row-wise multiply-sum, not a matrix product) and softmax come from its own
-    row alone, so its probabilities do not depend on the rest of the batch.
+    New words are resolved into the model's word cache, which holds at most
+    PREDICT_CACHE_WORDS words and is emptied when they would not fit (a batch with more
+    gets a table of its own). Each text's logits (a row-wise multiply-sum) and softmax
+    come from its own row alone, so its probabilities do not depend on the batch.
     """
     tokenized = [tokenize(text) for text in texts]
     words = list(chain.from_iterable(tokenized))
-    found = _word_sums(model, words)
+    table, distinct = model._word_cache, dict.fromkeys(words)
+    missing = [word for word in distinct if word not in table.slots]
+    if len(table.slots) + len(missing) > table.counts.size:
+        missing = list(distinct)  # emptied, so every word is new
+        table = model._word_cache = _SumTable(PREDICT_CACHE_WORDS, model.hyperparams.dim)
+        if len(missing) > PREDICT_CACHE_WORDS:
+            table = _SumTable(len(missing), model.hyperparams.dim)
+    _resolve_words(model, missing, table)
+    slots = np.fromiter(map(table.slots.__getitem__, words), np.int64, len(words))
     logits = np.empty((len(texts), len(model.labels)))
     logits[:] = model.b  # a text with no features keeps the bias scores
-    lengths = np.fromiter(map(len, tokenized), np.int64, len(tokenized))
-    # reduceat needs a non-empty segment per start: the texts with words
-    texts_with_words = np.flatnonzero(lengths)
-    if texts_with_words.size:
-        starts = (np.cumsum(lengths) - lengths)[texts_with_words]
-        sums = np.add.reduceat([found[word][0] for word in words], starts, axis=0)
-        counts = np.add.reduceat([found[word][1] for word in words], starts)
+    # each text's word sums are added in order, in runs of RESOLVE_BLOCK_ROWS words
+    for at, starts, lo, hi in _runs(np.fromiter(map(len, tokenized), np.int64, len(texts))):
+        sums = np.add.reduceat(table.rows(slots[lo:hi]), starts, axis=0)
+        counts = np.add.reduceat(table.counts[slots[lo:hi]], starts)
         live = counts > 0
         H = sums[live] / counts[live, None]
-        logits[texts_with_words[live]] = (H[:, None, :] * model.W).sum(axis=2) + model.b
+        logits[at[live]] = (H[:, None, :] * model.W).sum(axis=2) + model.b
     # log_softmax of each row on its own, all rows in one step
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))

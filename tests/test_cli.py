@@ -7,8 +7,10 @@ import json
 import logging
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1150,6 +1152,8 @@ class TestWorkers:
         assert sum('"grid config dim=' in line for line in log1) == 4
         final1, final2 = json.loads(log1[-1]), json.loads(log2[-1])
         assert (final1.pop("workers"), final2.pop("workers")) == (1, 2)
+        for totals in ("wall_s", "peak_rss_mb"):  # measurements of each run, not results
+            final1.pop(totals), final2.pop(totals)
         assert final1 == final2
 
     def test_error_in_a_worker_exits_two(self, labels_file, tmp_path, monkeypatch, capsys):
@@ -1299,6 +1303,26 @@ class TestRunLog:
         events = [json.loads(line)["event"] for line in capsys.readouterr().err.splitlines()]
         assert events[0] == "run" and events[-1] == name
         assert events.count("run") == events.count(name) == 1
+
+    @pytest.mark.parametrize("command", [*SUBCOMMANDS, "predict --text"])
+    def test_final_record_has_wall_time_and_peak_rss(self, command, valid_runs, tmp_path,
+                                                     capsys):
+        name = command.split()[0]
+        argv = valid_runs(name, str(tmp_path / "out"))
+        if command == "predict --text":
+            argv = [*argv[:2], "--text", "houd afstand"]
+        capsys.readouterr()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        start = time.perf_counter()
+        assert main([name, *argv, "--log"]) == 0
+        elapsed = time.perf_counter() - start
+        # the larger of this process's peak and that of its waited-for children
+        after = max(resource.getrusage(who).ru_maxrss / 1024
+                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["event"] == name
+        assert 0 < record["wall_s"] <= elapsed + 1e-4
+        assert before - 0.01 <= record["peak_rss_mb"] <= after + 0.01
 
     @pytest.mark.parametrize("command", [
         "sentiment", "timeseries", "predict", "annotate-sample", "expand-query",
