@@ -268,16 +268,19 @@ def message_to_record(msg: Message) -> dict:
     }
 
 
+def record_members(msg: Message) -> str:
+    """The members of ``json.dumps(message_to_record(msg), ensure_ascii=False)``, without
+    its braces, built with its escaper (time and platform need none)."""
+    return (f'"id": {_quote(msg.id)}, "created_at": "{format_timestamp(msg.timestamp)}", '
+            f'"text": {_quote(msg.text)}, "lang": {_quote(msg.lang)}, '
+            f'"platform": "{msg.platform}", "retweet": {"true" if msg.is_repost else "false"}')
+
+
 def write_jsonl(msgs: Iterable[Message], handle) -> int:
-    """Write messages to an open text handle, one ``json.dumps(message_to_record(msg),
-    ensure_ascii=False)`` per line, built with its escaper (time and platform need none)."""
+    """Write messages to an open text handle, one ``{record_members(msg)}`` per line."""
     count = 0
     for msg in msgs:
-        handle.write(f'{{"id": {_quote(msg.id)}, '
-                     f'"created_at": "{format_timestamp(msg.timestamp)}", '
-                     f'"text": {_quote(msg.text)}, "lang": {_quote(msg.lang)}, '
-                     f'"platform": "{msg.platform}", '
-                     f'"retweet": {"true" if msg.is_repost else "false"}}}\n')
+        handle.write(f"{{{record_members(msg)}}}\n")
         count += 1
     return count
 

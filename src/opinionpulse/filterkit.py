@@ -29,8 +29,9 @@ class TopicQuery:
     Keywords are stored lowercase and matched as case-insensitive
     substrings (no word boundaries). The regex, if not empty, is compiled
     once and searched against the case-folded text, unanchored, with
-    ``.`` not matching newlines; a regex that differs from its own
-    ``casefold()`` is compiled with ``re.IGNORECASE``.
+    ``.`` not matching newlines; a regex with a literal character that
+    differs from its own ``casefold()`` is compiled with ``re.IGNORECASE``
+    (see ``_has_upper_literal``).
     """
 
     name: str
@@ -48,7 +49,7 @@ class TopicQuery:
             raise InputError(f"query {self.name!r} has a blank keyword")
         if self.regex:
             # the text is case-folded; upper case in the pattern would never match it
-            flags = re.IGNORECASE if self.regex != self.regex.casefold() else 0
+            flags = re.IGNORECASE if _has_upper_literal(self.regex) else 0
             try:
                 pattern = re.compile(self.regex, flags)
             except re.error as exc:
@@ -60,6 +61,37 @@ class TopicQuery:
         if self.keywords and keyword_match(self, text):
             return True
         return self._pattern is not None and regex_match(self, text)
+
+
+# one unit of a pattern's text: a backslash escape that spells a character, a backslash
+# pair, or a single character
+_PATTERN_UNIT = re.compile(r"\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|[0-7]{3}"
+                           r"|N\{[^}]*\}|.)|.", re.DOTALL)
+
+
+def _has_upper_literal(regex: str) -> bool:
+    """Whether a literal character of ``regex`` differs from its ``casefold()``.
+
+    The text is read as single characters and backslash escapes. An escaped
+    ASCII letter or digit (``\\S``, ``\\W``, ``\\D``, ``\\B``, ``\\A``, ``\\Z``,
+    ``\\n``, a backreference) is no literal; ``\\x``, ``\\u``, ``\\U`` and
+    three-digit octal escapes are decoded, and ``\\N{...}`` counts as upper case.
+    """
+    for unit in _PATTERN_UNIT.findall(regex):
+        if len(unit) == 1:
+            char = unit
+        elif unit[1] == "N" and len(unit) > 2:
+            return True
+        elif len(unit) > 2:  # past U+10FFFF re.compile refuses the pattern anyway
+            char = chr(min(int(unit[2:], 16) if unit[1] in "xuU" else int(unit[1:], 8),
+                           0x10FFFF))
+        elif unit[1].isascii() and unit[1].isalnum():
+            continue
+        else:
+            char = unit[1]
+        if char != char.casefold():
+            return True
+    return False
 
 
 def keyword_match(query: TopicQuery, text: str) -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..constants import LABELS
-from ..corpus import Message, dedup, message_to_record, parse_timestamp, sample
+from ..corpus import Message, dedup, parse_timestamp, record_members, sample
 from ..exceptions import InputError, input_lines, json_loads
 
 if TYPE_CHECKING:  # an annotation only: kappa, train and predict need no filterkit
@@ -95,19 +95,13 @@ def probs_dict(labels: Sequence[str], probs) -> dict:
     return {label: float(p) for label, p in zip(labels, probs)}
 
 
-# the encoder json.dumps(record, ensure_ascii=False, sort_keys=True) would build for every record
-_LABELED_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
 def write_labeled_jsonl(labeled: Iterable, labels: Sequence[str], handle) -> int:
-    """Write (Message, label, probs) triples, one JSON record per line."""
-    encode = _LABELED_ENCODER.encode
+    """Write (Message, label, probs) triples, one JSON record per line: the message's
+    ``record_members``, then ``"stance"`` and ``"probs"``, the probabilities in ``labels`` order."""
     count = 0
     for msg, label, probs in labeled:
-        record = message_to_record(msg)
-        record["stance"] = label
-        record["probs"] = probs_dict(labels, probs)
-        handle.write(encode(record) + "\n")
+        handle.write(f'{{{record_members(msg)}, "stance": {json.dumps(label)}, '
+                     f'"probs": {json.dumps(probs_dict(labels, probs))}}}\n')
         count += 1
     return count
 

@@ -215,22 +215,23 @@ def loss_and_grads(
 
 
 def _sgd_step(E: np.ndarray, W: np.ndarray, b: np.ndarray, urows: np.ndarray,
-              wcol: np.ndarray, y: int, lr: float) -> float:
+              weights: np.ndarray, y: int, lr: float) -> float:
     """One SGD update of ``E[urows]``, ``W`` and ``b`` in place; returns the example's loss.
 
-    The update is ``-lr`` times the gradients of ``loss_and_grads``, with the
-    weights as a ``(len(urows), 1)`` column, computed in ``E.dtype``. The
-    softmax over the labels and the loss are Python floats.
+    The update is ``-lr`` times the gradients of ``loss_and_grads``, computed in
+    ``E.dtype``. The softmax over the labels and the loss are Python floats.
     """
+    urows = urows.astype(np.intp, copy=False)  # once, for the gather and the store
     rows = E.take(urows, axis=0)
-    h = wcol.T @ rows  # (1, dim)
-    z = (W @ h[0] + b).tolist()
+    h = weights @ rows
+    z = (W @ h + b).tolist()
     top = max(z)
     exps = [math.exp(value - top) for value in z]
     total = sum(exps)
     g = np.array([lr * value / total for value in exps], dtype=E.dtype)  # lr * softmax
     g[y] -= lr
-    E[urows] = rows - wcol * (g @ W)
+    rows -= weights[:, None] * (g @ W)
+    E[urows] = rows
     W -= g[:, None] * h
     b -= g
     return math.log(total) - (z[y] - top)
@@ -241,8 +242,8 @@ def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
 
     The vocabulary lists each word in first-seen order. The touched rows are
     the sorted int64 ids of every row some word has. Each example gets its
-    unique int32 indices into the touched rows and, as a float32 column,
-    their weights, or None when it has no words.
+    unique int32 indices into the touched rows and their float32 weights, or
+    None when it has no words.
     """
     vocab: dict[str, int] = {}  # word -> vocab id, in first-seen order
     tokenized = []
@@ -268,7 +269,7 @@ def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
     for words in tokenized:
         if words:
             urows, weights = compress(np.concatenate([features[word] for word in words]))
-            compressed.append((urows, weights.astype(np.float32)[:, None]))
+            compressed.append((urows, weights.astype(np.float32)))
         else:
             compressed.append(None)
     return vocab_words, touched, compressed

@@ -74,7 +74,7 @@ def bucket_key(ts: datetime, bucket: str, tz: timezone):
     if bucket == "day":
         return local.date()
     if bucket == "hour":
-        return local.replace(minute=0, second=0, microsecond=0)
+        return datetime(local.year, local.month, local.day, local.hour, tzinfo=local.tzinfo)
     if bucket == "week":
         return local.date() - timedelta(days=local.weekday())
     if bucket == "month":

@@ -77,6 +77,25 @@ class TestTopicQuery:
         q = TopicQuery(name="q", keywords=frozenset({"RIVM"}))
         assert q.keywords == frozenset({"rivm"})
 
+    # the flag follows the pattern's literal characters, not its escapes' spelling
+    @pytest.mark.parametrize("regex, flagged", [
+        (r"\x41fstand", True),  # an upper-case letter written as an escape
+        (r"\101fstand|\u0041fstand|\U00000041fstand|\N{LATIN CAPITAL LETTER A}fstand", True),
+        (r"\S*afstand", False),  # a class escape is no literal
+        (r"\A.*\W\D\Bf(s)\1?tand\Z", False),  # nor an anchor or a backreference
+        (r"\x61fstand", False),
+        ("[A-Z]fstand", True),
+        ("Afstand", True),
+    ])
+    def test_ignorecase_follows_literals(self, regex, flagged):
+        q = TopicQuery(name="q", regex=regex)
+        assert bool(q._pattern.flags & re.IGNORECASE) == flagged
+        assert q.matches("hou AFSTAND") and q.matches("hou afstand")
+
+    def test_builtin_regex_compiles_as_written(self):
+        pattern = load_builtin_query("socialdistancing")._pattern
+        assert pattern.flags == re.compile(pattern.pattern).flags
+
 
 class TestKeywordMatch:
     def test_substring_selects_longer_words(self):

@@ -2,18 +2,33 @@
 
 import io
 import json
+import math
+from datetime import datetime, timezone
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_messages, msg, write_labels
+from conftest import make_messages, make_separable, msg, write_labels
 from opinionpulse.cli import main
+from opinionpulse.corpus import PLATFORMS, Message, message_to_record
 from opinionpulse.exceptions import InputError
 from opinionpulse.filterkit import TopicQuery
-from opinionpulse.stance import LabeledExample, prepare_annotation_set, read_labeled_tsv
+from opinionpulse.stance import (
+    Hyperparams,
+    LabeledExample,
+    load_model,
+    prepare_annotation_set,
+    read_labeled_tsv,
+    save_model,
+    train,
+)
 from opinionpulse.stance.data import (
     LABEL_INDEX,
     LABELS,
+    probs_dict,
     read_labeled_jsonl,
     read_paired_labels,
     write_annotation_template,
@@ -197,6 +212,27 @@ class TestAnnotationTemplate:
         assert read_labeled_tsv(path) == [LabeledExample(text="corona hier", label="supports")]
 
 
+# characters JSON must escape, or may leave as they are
+FIELD_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028",
+                                      "\U0001f600", "a", "É", " "]), min_size=1, max_size=8)
+ODD_PROBS = st.lists(st.sampled_from([0.0, 5e-324, 1.0, math.nan, math.inf, -math.inf]),
+                     min_size=len(LABELS), max_size=len(LABELS))
+
+
+@pytest.fixture(scope="module")
+def models_by_order(tmp_path_factory):
+    """One trained model, loaded back under every order of its labels."""
+    path = tmp_path_factory.mktemp("models") / "model.bin"
+    save_model(train(make_separable(30, seed=1), Hyperparams(dim=2, epochs=1, bucket=50)), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    models = {}
+    for order in permutations(LABELS):
+        edited = dict(json.loads(header), label_order=list(order))
+        path.write_bytes(json.dumps(edited).encode("utf-8") + b"\n" + payload)
+        models[order] = load_model(path)
+    return models
+
+
 class TestLabeledJsonl:
     def test_round_trip_keeps_float_bits(self, tmp_path):
         labeled = [
@@ -213,6 +249,33 @@ class TestLabeledJsonl:
         assert [r["id"] for r in records] == ["a", "b"]
         for record, (_, _, probs) in zip(records, labeled):
             assert [repr(record["probs"][label]) for label in LABELS] == [repr(float(p)) for p in probs]
+
+    @pytest.mark.parametrize("order", list(permutations(LABELS)))
+    @settings(max_examples=40, deadline=None)
+    @given(msg_id=FIELD_TEXT, text=FIELD_TEXT.filter(str.strip), lang=FIELD_TEXT,
+           platform=st.sampled_from(PLATFORMS), repost=st.booleans(),
+           ts=st.datetimes(timezones=st.just(timezone.utc)),
+           label_at=st.integers(0, len(LABELS) - 1), probs=ODD_PROBS)
+    def test_record_layout(self, models_by_order, order, msg_id, text, lang, platform, repost,
+                           ts, label_at, probs):
+        labels = models_by_order[order].labels
+        message = Message(msg_id, ts, text, lang, platform, repost)
+        handle = io.StringIO()
+        assert write_labeled_jsonl([(message, labels[label_at], np.array(probs))],
+                                   labels, handle) == 1
+        line = handle.getvalue()
+        assert line.endswith("\n") and line.count("\n") == 1
+        # the record json.dumps(..., ensure_ascii=False, sort_keys=True) wrote for the same triple
+        expected = dict(message_to_record(message), stance=labels[label_at],
+                        probs=probs_dict(labels, probs))
+        record = json.loads(line)
+        assert list(record) == ["id", "created_at", "text", "lang", "platform", "retweet",
+                                "stance", "probs"]
+        assert list(record["probs"]) == list(labels)
+        # floats compare by repr, so NaN equals NaN and 5e-324 keeps its bits
+        canonical = json.dumps(expected, ensure_ascii=False, sort_keys=True)
+        assert json.dumps(record, ensure_ascii=False, sort_keys=True) == canonical
+        assert len(line) - 1 == len(canonical)
 
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "labeled.jsonl"

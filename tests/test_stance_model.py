@@ -1,6 +1,7 @@
 """Classifier internals: features, training, persistence."""
 
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -284,13 +285,30 @@ class TestGradients:
         lr = 0.37
         loss, gE_rows, gW, gb = loss_and_grads(E, W, b, urows, weights, y)
         E1, W1, b1 = E.copy(), W.copy(), b.copy()
-        step_loss = model_module._sgd_step(E1, W1, b1, urows, weights[:, None], y, lr)
+        step_loss = model_module._sgd_step(E1, W1, b1, urows, weights, y, lr)
         assert step_loss == pytest.approx(float(loss), rel=0, abs=1e-12)
         untouched = np.setdiff1d(np.arange(n_rows), urows)
         assert np.array_equal(E1[untouched], E[untouched])
         assert np.allclose(E1[urows] - E[urows], -lr * gE_rows, rtol=0, atol=1e-12)
         assert np.allclose(W1 - W, -lr * gW, rtol=0, atol=1e-12)
         assert np.allclose(b1 - b, -lr * gb, rtol=0, atol=1e-12)
+
+
+def column_sgd_step(E, W, b, urows, wcol, y, lr):
+    """Reference SGD step: the weights as a (len(urows), 1) column, gathered and
+    stored with the rows as given."""
+    rows = E.take(urows, axis=0)
+    h = wcol.T @ rows  # (1, dim)
+    z = (W @ h[0] + b).tolist()
+    top = max(z)
+    exps = [math.exp(value - top) for value in z]
+    total = sum(exps)
+    g = np.array([lr * value / total for value in exps], dtype=E.dtype)
+    g[y] -= lr
+    E[urows] = rows - wcol * (g @ W)
+    W -= g[:, None] * h
+    b -= g
+    return math.log(total) - (z[y] - top)
 
 
 class TestTraining:
@@ -343,14 +361,27 @@ class TestTraining:
         model = train(examples, FAST)
         assert np.isfinite(model.loss_history[-1])
 
+    @pytest.mark.parametrize("dim", [4, 16, 50])
+    def test_training_matches_column_step_reference(self, dim, monkeypatch):
+        examples = make_separable(90, seed=dim) + [LabeledExample(text="???", label="other")]
+        hp = Hyperparams(dim=dim, epochs=4, lr=0.3, bucket=5000, seed=dim + 1)
+        model = train(examples, hp)
+        monkeypatch.setattr(model_module, "_sgd_step",
+                            lambda E, W, b, urows, weights, y, lr:
+                            column_sgd_step(E, W, b, urows, weights[:, None], y, lr))
+        reference = train(examples, hp)
+        for name in ("E", "W", "b"):
+            assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+        assert model.loss_history == reference.loss_history
+
     def test_training_rows_are_int32_with_float32_weights(self, tmp_path, monkeypatch):
         examples = two_class_examples(60) + [LabeledExample(text="???", label="other")]
         _, touched, compressed = model_module._training_rows(examples, FAST)
         assert touched.dtype == np.int64
         assert compressed[-1] is None
-        for urows, wcol in compressed[:-1]:
+        for urows, weights in compressed[:-1]:
             assert urows.dtype == np.int32
-            assert wcol.dtype == np.float32 and wcol.shape == (urows.size, 1)
+            assert weights.dtype == np.float32 and weights.shape == urows.shape
         save_model(train(examples, FAST), tmp_path / "int32.bin")
         real = model_module._training_rows
 

@@ -84,6 +84,16 @@ class TestBucketKey:
         key = bucket_key(ts, "hour", UTC)
         assert key == datetime(2020, 3, 11, 14, 0, tzinfo=UTC)
 
+    @given(ts=st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                           timezones=st.just(UTC)),
+           offset=st.integers(-23 * 60 - 59, 23 * 60 + 59))
+    def test_hour_key_is_the_truncated_local_time(self, ts, offset):
+        tz = timezone(timedelta(minutes=offset))
+        key = bucket_key(ts, "hour", tz)
+        truncated = ts.astimezone(tz).replace(minute=0, second=0, microsecond=0)
+        assert key == truncated and hash(key) == hash(truncated)
+        assert key.tzinfo == tz and key.fold == truncated.fold
+
     def test_week_snaps_to_monday(self):
         # 2020-03-11 was a Wednesday
         ts = datetime(2020, 3, 11, 10, 0, tzinfo=UTC)
