@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import os
+import pickle
 import random
+import select
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,14 +70,40 @@ def _captured(fn: Callable, job):
     return records, result, error
 
 
+def _reply(fn: Callable, job, read_end: int, write_end: int):
+    """In a forked child: write ``_captured(fn, job)``, pickled, to its pipe and exit.
+
+    Never returns, so the child cannot run on in its parent's frames.
+    """
+    status = 1
+    try:
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as out:
+            out.write(pickle.dumps(_captured(fn, job), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    except BaseException:  # an unpicklable reply: the parent reports the exit status
+        traceback.print_exc()
+        raise
+    finally:
+        try:  # what the job printed, as a process that exits normally would
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
 def _map(fn: Callable, jobs: list) -> list:
     """``[fn(job) for job in jobs]``, run by ``worker_count(len(jobs))`` processes.
 
-    ``fn`` is a module-level function and each job is pickled to its worker.
-    Workers are forked, so they start with this process's modules and
-    logging setup; each job's log records are handed to their loggers here,
-    in job order, and the first failing job's exception is raised here, so
-    the output and any error are those of an in-process run.
+    Each job runs in a child forked for it alone, so the child inherits the
+    job, this process's modules and its logging setup; nothing is pickled on
+    the way in. The child sends back its log records and its result or
+    exception, pickled, over its own pipe, which is read as it fills, so a
+    reply of any size cannot stall it. Each job's log records are handed to
+    their loggers here, in job order, and the first failing job's exception
+    is raised here, so the output and any error are those of an in-process
+    run. A child that exits before it has replied raises ``RuntimeError``;
+    on any error the children still running are killed and reaped.
     """
     workers = worker_count(len(jobs))
     if workers == 1:
@@ -84,18 +111,47 @@ def _map(fn: Callable, jobs: list) -> list:
     # a forked child flushes its copies of the std streams when it exits
     sys.stdout.flush()
     sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    replies = [None] * len(jobs)
+    running = {}  # read end of a child's pipe -> (job index, pid, chunks read)
+    started, stop = 0, len(jobs)  # no job after the first failing one needs to run
     try:
-        results = []
-        for records, result, error in pool.map(partial(_captured, fn), jobs):
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            if error is not None:
-                raise error
-            results.append(result)
-        return results
+        while running or started < stop:
+            while started < stop and len(running) < workers:
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _reply(fn, jobs[started], read_end, write_end)
+                os.close(write_end)  # so that a later child does not hold it open
+                running[read_end] = (started, pid, [])
+                started += 1
+            for fd in select.select(list(running), [], [])[0]:
+                index, pid, chunks = running[fd]
+                chunk = os.read(fd, 1 << 20)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del running[fd]
+                os.close(fd)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status != 0:  # a child exits 0 only after its whole reply is written
+                    raise RuntimeError(f"worker for job {index} exited with status "
+                                       f"{status} before replying")
+                replies[index] = pickle.loads(b"".join(chunks))
+                if replies[index][2] is not None:
+                    stop = min(stop, index + 1)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    results = []
+    for records, result, error in replies[:stop]:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
 
 
 @dataclass(frozen=True)

@@ -244,11 +244,14 @@ class TestImportCost:
                                 capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
 
-    def test_process_pool_loaded_only_by_evaluation_commands(self, valid_runs, tmp_path):
+    def test_evaluation_loaded_only_by_its_commands_and_no_process_pool(self, valid_runs,
+                                                                        tmp_path):
         out = str(tmp_path / "out")
         runs = [[command, *valid_runs(command, f"{out}.{command}")]
                 for command in ("filter", "sentiment", "timeseries", "correlate", "train",
                                 "predict", "stance-series")]
+        grid = ["grid-search", *valid_runs("grid-search", f"{out}.grid")]
+        grid[grid.index("--dims") + 1] = "16,18"
         script = (
             "import json, sys\n"
             "import opinionpulse.cli as cli\n"
@@ -256,11 +259,18 @@ class TestImportCost:
             "    assert cli.main(argv) == 0, argv\n"
             "pool = {'opinionpulse.stance.evaluation', 'concurrent.futures', 'multiprocessing'}\n"
             "assert not pool & set(sys.modules), pool & set(sys.modules)\n"
+            "from opinionpulse.stance import evaluation\n"
+            "evaluation._usable_cpus = lambda: 2\n"
+            "assert evaluation.worker_count(2) == 2\n"
+            "assert cli.main(json.loads(sys.argv[2])) == 0\n"
+            "pool.discard('opinionpulse.stance.evaluation')\n"
+            "assert not pool & set(sys.modules), pool & set(sys.modules)\n"
         )
         src = str(Path(opinionpulse.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(runs),
+                                 json.dumps(grid)],
                                 capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
 

@@ -1,8 +1,10 @@
 """Metrics, cross-validation, grid search and learning curves."""
 
+import logging
 import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -467,6 +469,27 @@ def in_both(monkeypatch):
     return run
 
 
+def log_and_fail_at_three(job):
+    """Log one record, finishing out of job order, and fail at job 3."""
+    time.sleep(0.2 if job == 0 else 0)
+    logging.getLogger("opinionpulse.stance.evaluation").warning("job %d", job)
+    if job == 3:
+        raise InputError(f"job {job} failed")
+    return job
+
+
+def big_reply(job):
+    return bytes([job]) * (1 << 20)  # more than a pipe buffer holds
+
+
+def exit_at_one(job):
+    if job == 0:
+        time.sleep(30)  # still running when job 1 fails, so it must be killed
+    if job == 1:
+        os._exit(3)
+    return job
+
+
 class TestWorkers:
     @pytest.mark.parametrize("objective", ["accuracy", "fraction_score"])
     @pytest.mark.parametrize("grid", [[STARVED, MIDDLE, FAST], [FAST, STARVED]])
@@ -491,3 +514,28 @@ class TestWorkers:
         assert [evaluation.worker_count(jobs) for jobs in (0, 1, 2, 27)] == [1, 1, 2, 2]
         monkeypatch.setattr(evaluation.sys, "platform", "darwin")
         assert evaluation.worker_count(27) == 1
+
+    def test_records_in_job_order_then_first_error(self, in_both, caplog):
+        def run(jobs):
+            caplog.clear()
+            with pytest.raises(InputError) as raised:
+                evaluation._map(log_and_fail_at_three, jobs)
+            records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+            return records, type(raised.value), raised.value.args
+
+        one, two = in_both(run, list(range(5)))
+        assert one == two
+        assert one[0] == [("opinionpulse.stance.evaluation", logging.WARNING, f"job {job}")
+                          for job in range(4)]
+        assert one[2] == ("job 3 failed",)
+
+    def test_large_replies_and_a_dead_worker(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        assert evaluation.worker_count(3) == 2  # in-process, exit_at_one would end pytest
+        assert evaluation._map(big_reply, [0, 1, 2]) == [big_reply(job) for job in (0, 1, 2)]
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="job 1 exited with status 3"):
+            evaluation._map(exit_at_one, [0, 1, 2])
+        assert time.monotonic() - start < 10  # job 0 was killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker has been reaped
