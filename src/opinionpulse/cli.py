@@ -185,8 +185,20 @@ def _list_within(convert, low, high):
                       lambda values: values and all(low <= v <= high for v in values))
 
 
-def _check_distinct_outputs(args) -> None:
-    """Two output flags that name one file would lose one of the outputs."""
+def _check_flags(args) -> None:
+    """Refuse a flag the command would ignore, and two output flags that name one file."""
+    requires = {"predict": {"--in": "--out", "--out": "--in"},  # flag -> what it needs
+                "timeseries": {"--events": "--events-out", "--events-out": "--events",
+                               "--centered": "--ma", "--nonzero-only": "--kind sentiment",
+                               "--drop-reposts": "--kind frequency"}}.get(args.command, {})
+
+    def given(option: str) -> bool:  # "--flag", or "--flag value"
+        flag, _, value = option.partition(" ")
+        found = getattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_"))
+        return found == value if value else found not in (None, False)
+    for flag, needed in requires.items():
+        if given(flag) and not given(needed):
+            raise UsageError(f"{flag} requires {needed}")
     seen = {}
     for dest in ("out", "unmatched_out", "stats", "summary", "events_out"):
         path, flag = getattr(args, dest, None), "--" + dest.replace("_", "-")
@@ -260,8 +272,6 @@ def cmd_sentiment(args) -> dict:
 
 def cmd_timeseries(args) -> dict:
     from . import timeseries
-    if args.events and not args.events_out:
-        raise UsageError("--events requires --events-out")
     # read before --out is replaced, so a bad events file leaves it untouched
     events = timeseries.load_events(args.events) if args.events else None
 
@@ -362,8 +372,6 @@ def cmd_learning_curve(args) -> dict:
 def cmd_predict(args) -> dict:
     from . import corpus, stance
     from .stance import data
-    if args.infile and not args.out:
-        raise UsageError("--in requires --out")
     model = stance.load_model(args.model)
 
     if args.text is not None:
@@ -614,7 +622,7 @@ def main(argv=None) -> int:
         if args.log:
             _log(event="run", command=args.command, seed=args.seed)
         try:
-            _check_distinct_outputs(args)
+            _check_flags(args)
             fields = args.func(args)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)

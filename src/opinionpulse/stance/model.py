@@ -183,43 +183,14 @@ def initial_rows(seed: int, rows, dim: int) -> np.ndarray:
     return out
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
-def loss_and_grads(
-    E: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    urows: np.ndarray,
-    weights: np.ndarray,
-    y: int,
-):
-    """Cross-entropy loss and gradients for one example.
-
-    Pure in its inputs and dtype generic, which lets tests rerun it in
-    float64 against finite differences.
-    """
-    rows = E[urows]
-    h = weights @ rows
-    z = W @ h + b
-    logp = log_softmax(z)
-    loss = -logp[y]
-    g = np.exp(logp)
-    g[y] -= 1.0
-    gh = W.T @ g
-    gE_rows = weights[:, None] * gh  # np.outer without its ravel and copy overhead
-    gW = g[:, None] * h
-    return loss, gE_rows, gW, g
-
-
 def _sgd_step(E: np.ndarray, W: np.ndarray, b: np.ndarray, urows: np.ndarray,
               weights: np.ndarray, y: int, lr: float) -> float:
     """One SGD update of ``E[urows]``, ``W`` and ``b`` in place; returns the example's loss.
 
-    The update is ``-lr`` times the gradients of ``loss_and_grads``, computed in
-    ``E.dtype``. The softmax over the labels and the loss are Python floats.
+    With ``h = weights @ E[urows]`` and ``p = softmax(W @ h + b)`` (in Python floats), the
+    loss ``-log p[y]`` has gradient ``g = p - onehot(y)`` for ``b``, ``outer(g, h)`` for ``W``
+    and ``outer(weights, g @ W)`` for ``E[urows]``. Each takes ``-lr`` times its gradient,
+    all computed before the step, in ``E.dtype``.
     """
     urows = urows.astype(np.intp, copy=False)  # once, for the gather and the store
     rows = E.take(urows, axis=0)
@@ -427,7 +398,7 @@ def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, n
         live = counts > 0
         H = sums[live] / counts[live, None]
         logits[at[live]] = (H[:, None, :] * model.W).sum(axis=2) + model.b
-    # log_softmax of each row on its own, all rows in one step
+    # each row's softmax on its own, through its log, all rows in one step
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
     return [(model.labels[i], row) for i, row in zip(probs.argmax(axis=1).tolist(), probs)]

@@ -95,30 +95,15 @@ def _next_bucket(key, bucket: str):
         raise InputError(f"the {bucket} of {format_bucket(key)} ends after year 9999") from None
 
 
-def _timestamp_of(item) -> datetime:
-    # Accepts a bare datetime (CSV-replayed pipelines) or a Message.
-    # datetime.timestamp is a method, so the isinstance check comes first.
-    if isinstance(item, datetime):
-        return item
-    ts = getattr(item, "timestamp", None)
-    if not isinstance(ts, datetime):
-        raise InputError(f"cannot extract a timestamp from {type(item).__name__}")
-    return ts
-
-
-def _value_of(score) -> float:
-    return float(getattr(score, "value", score))
-
-
 def frequency_series(
     msgs: Iterable, bucket: str = "day", tz: timezone = DEFAULT_TZ
 ) -> list[SeriesPoint]:
-    """Message counts per bucket, interior gaps filled with n=0."""
+    """Counts of Messages per bucket of their timestamp, interior gaps filled with n=0."""
     if bucket not in FREQUENCY_BUCKETS:
         raise InputError(f"frequency bucket must be one of {FREQUENCY_BUCKETS}")
     counts: dict = {}
     for msg in msgs:
-        key = bucket_key(_timestamp_of(msg), bucket, tz)
+        key = bucket_key(msg.timestamp, bucket, tz)
         counts[key] = counts.get(key, 0) + 1
     if not counts:
         return []
@@ -136,20 +121,16 @@ def frequency_series(
 
 
 def sentiment_series(
-    scored: Iterable, bucket: str = "day", tz: timezone = DEFAULT_TZ
+    scored: Iterable[tuple[datetime, float]], bucket: str = "day", tz: timezone = DEFAULT_TZ
 ) -> list[SeriesPoint]:
-    """Mean polarity per bucket over (Message, PolarityScore) pairs.
-
-    Also accepts (datetime, float) pairs so a scored CSV replays to the
-    identical series. Empty buckets are omitted.
-    """
+    """Mean value per non-empty bucket of (timestamp, value) pairs, as read_scored_csv gives."""
     if bucket not in FREQUENCY_BUCKETS:
         raise InputError(f"sentiment bucket must be one of {FREQUENCY_BUCKETS}")
     sums: dict = {}
     counts: dict = {}
-    for item, score in scored:
-        key = bucket_key(_timestamp_of(item), bucket, tz)
-        sums[key] = sums.get(key, 0.0) + _value_of(score)
+    for ts, value in scored:
+        key = bucket_key(ts, bucket, tz)
+        sums[key] = sums.get(key, 0.0) + value
         counts[key] = counts.get(key, 0) + 1
     return [
         SeriesPoint(bucket=key, value=sums[key] / counts[key], n=counts[key])
@@ -158,16 +139,16 @@ def sentiment_series(
 
 
 def stance_series(
-    labeled: Iterable, bucket: str = "day", tz: timezone = DEFAULT_TZ
+    labeled: Iterable[tuple[datetime, str]], bucket: str = "day", tz: timezone = DEFAULT_TZ
 ) -> list[StanceRates]:
-    """Per-bucket label proportions over (Message, label) pairs."""
+    """Label proportions per bucket over (timestamp, label) pairs, as read_labeled_jsonl gives."""
     if bucket not in STANCE_BUCKETS:
         raise InputError(f"stance bucket must be one of {STANCE_BUCKETS}")
     tallies: dict = {}
-    for item, label in labeled:
+    for ts, label in labeled:
         if label not in LABELS:
             raise InputError(f"unknown stance label {label!r}")
-        key = bucket_key(_timestamp_of(item), bucket, tz)
+        key = bucket_key(ts, bucket, tz)
         tally = tallies.setdefault(key, dict.fromkeys(LABELS, 0))
         tally[label] += 1
     series = []

@@ -86,6 +86,35 @@ def write_labels(path, examples) -> None:
             handle.write(f"{ex.label}\t{ex.text}\n")
 
 
+def sgd_gradient_error(step, E, W, b, urows, weights, y, eps=1e-6) -> float:
+    """Worst relative error of ``step``'s update against central differences of its loss.
+
+    ``step(E, W, b, urows, weights, y, lr)`` updates its arrays in place and returns
+    the example's loss, as ``stance.model._sgd_step`` does. A step that computes every
+    update from the values before it is linear in ``lr``, so at ``lr = 1``, in float64,
+    ``before - after`` is the analytic gradient of ``E``, ``W`` and ``b``. The numeric
+    one is central differences of the loss that ``step`` returns at ``lr = 0``. Every
+    cell of ``E`` is checked, so a change to a row outside ``urows`` counts as an error.
+    """
+    params = [np.array(param, dtype=np.float64) for param in (E, W, b)]
+    after = [param.copy() for param in params]
+    step(*after, urows, weights, y, 1.0)
+
+    def loss_at(which, cell, delta):
+        moved = [param.copy() for param in params]
+        moved[which][cell] += delta
+        return step(*moved, urows, weights, y, 0.0)
+
+    worst = 0.0
+    for which, (before, updated) in enumerate(zip(params, after)):
+        for cell in np.ndindex(before.shape):
+            analytic = before[cell] - updated[cell]
+            numeric = (loss_at(which, cell, eps) - loss_at(which, cell, -eps)) / (2 * eps)
+            denom = max(abs(analytic), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
+
+
 @pytest.fixture
 def utc():
     return timezone.utc

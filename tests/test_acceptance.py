@@ -21,7 +21,7 @@ import pytest
 from datetime import date, timedelta, timezone
 
 import conftest
-from conftest import make_separable, msg, write_corpus, write_labels
+from conftest import make_separable, msg, sgd_gradient_error, write_corpus, write_labels
 from opinionpulse.cli import main as cli_main
 from opinionpulse.corpus import ingest
 from opinionpulse.filterkit import (
@@ -40,7 +40,7 @@ from opinionpulse.stance import (
     report_from_labels,
 )
 from opinionpulse.stance.data import LABELS
-from opinionpulse.stance.model import loss_and_grads
+from opinionpulse.stance.model import _sgd_step
 from opinionpulse.timeseries import SeriesPoint, correlate, frequency_series, stance_series
 
 
@@ -164,6 +164,7 @@ def test_criterion_02_classifier_sanity():
 
 @criterion(3, "analytic gradients match central differences within 1e-4 relative error")
 def test_criterion_03_gradient_check():
+    # the SGD step that train runs, in float64: its update at lr = 1 is the gradient
     rng = np.random.default_rng(3)
     dim, k = 4, len(LABELS)
     E = rng.normal(size=(6, dim))
@@ -172,34 +173,7 @@ def test_criterion_03_gradient_check():
     urows = np.array([0, 2, 5])
     weights = np.array([0.25, 0.5, 0.25])
     y = 2
-    _, gE_rows, gW, gb = loss_and_grads(E, W, b, urows, weights, y)
-
-    def loss_at(Ex, Wx, bx):
-        return loss_and_grads(Ex, Wx, bx, urows, weights, y)[0]
-
-    eps = 1e-6
-
-    def check(analytic, numeric):
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        assert abs(analytic - numeric) / denom <= 1e-4
-
-    for i in range(len(urows)):
-        for j in range(dim):
-            plus, minus = E.copy(), E.copy()
-            plus[urows[i], j] += eps
-            minus[urows[i], j] -= eps
-            check(gE_rows[i, j], (loss_at(plus, W, b) - loss_at(minus, W, b)) / (2 * eps))
-    for i in range(k):
-        for j in range(dim):
-            plus, minus = W.copy(), W.copy()
-            plus[i, j] += eps
-            minus[i, j] -= eps
-            check(gW[i, j], (loss_at(E, plus, b) - loss_at(E, minus, b)) / (2 * eps))
-    for i in range(k):
-        plus, minus = b.copy(), b.copy()
-        plus[i] += eps
-        minus[i] -= eps
-        check(gb[i], (loss_at(E, W, plus) - loss_at(E, W, minus)) / (2 * eps))
+    assert sgd_gradient_error(_sgd_step, E, W, b, urows, weights, y) <= 1e-4
 
 
 @criterion(4, "mean accuracy over 5 repeats non-decreasing across sizes 50/200/800 (0.02 slack)")
@@ -305,7 +279,8 @@ def test_criterion_08_metric_suite(million_line_corpus):
 
     rng = random.Random(47)
     labeled = [
-        (msg("x", id=f"m{i}", ts=f"2020-03-{1 + i % 28:02d}T10:00:00Z"), rng.choice(LABELS))
+        (msg("x", id=f"m{i}", ts=f"2020-03-{1 + i % 28:02d}T10:00:00Z").timestamp,
+         rng.choice(LABELS))
         for i in range(300)
     ]
     for rates in stance_series(labeled, bucket="day", tz=timezone.utc):

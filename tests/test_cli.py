@@ -460,6 +460,34 @@ class TestExitCodes:
                             f"expected {expected}, got '{value}'\n")
         assert not out.exists()
 
+    # one case per flag a command would ignore: (command, flag dropped, flags added, reason)
+    @pytest.mark.parametrize("command, drop, add, reason", [
+        ("predict", "--out", [], "--in requires --out"),
+        ("predict", "--in", ["--text", "x"], "--out requires --in"),
+        ("timeseries", "--events-out", [], "--events requires --events-out"),
+        ("timeseries", "--events", [], "--events-out requires --events"),
+        ("timeseries", None, ["--centered"], "--centered requires --ma"),
+        ("timeseries", None, ["--nonzero-only"], "--nonzero-only requires --kind sentiment"),
+        ("timeseries", "--kind", ["--kind", "sentiment", "--drop-reposts"],
+         "--drop-reposts requires --kind frequency"),
+    ])
+    def test_flag_the_command_would_ignore_exits_one(self, command, drop, add, reason,
+                                                      valid_runs, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = valid_runs(command, str(out))
+        if drop is not None:
+            at = argv.index(drop)
+            argv = argv[:at] + argv[at + 2:]
+        assert main([command, *argv, *add]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("add", [["--ma", "3", "--centered"], ["--drop-reposts"]])
+    def test_flag_with_what_it_requires_runs(self, add, valid_runs, tmp_path):
+        out = tmp_path / "out"
+        assert main(["timeseries", *valid_runs("timeseries", str(out)), *add]) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("command", ["train", "grid-search", "learning-curve"])
     def test_char_ngram_range_is_checked_after_parsing(self, command, valid_runs, tmp_path,
                                                         capsys):
@@ -829,7 +857,7 @@ class TestSentimentAndTimeseries:
         assert main(argv) == 0
 
         lexicon = load_lexicon(toy_lexicon_path())
-        pairs = ((m, s) for m, s in score_stream(lexicon, ingest(corpus)))
+        pairs = ((m.timestamp, s.value) for m, s in score_stream(lexicon, ingest(corpus)))
         points = sentiment_series(pairs, bucket="day", tz=DEFAULT_TZ)
         buffer = io.StringIO()
         write_value_csv(points, buffer)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import msg
 from opinionpulse.exceptions import InputError
+from opinionpulse.polarity import PolarityScore, read_scored_csv, write_scored_csv
 from opinionpulse.timeseries import (
     DEFAULT_TZ,
     MAX_FILLED_SPAN,
@@ -36,6 +37,10 @@ UTC = timezone.utc
 
 def at(iso: str, *, id: str = "m") -> object:
     return msg("tekst", id=id, ts=iso)
+
+
+def when(iso: str) -> datetime:
+    return at(iso).timestamp
 
 
 def day_points(values, start="2020-03-01"):
@@ -174,15 +179,15 @@ class TestFrequencySeries:
 
 class TestSentimentSeries:
     def test_constant_scores(self):
-        scored = [(at(f"2020-03-0{d}T10:00:00Z", id=f"m{d}"), 0.4) for d in (1, 2, 3)]
+        scored = [(when(f"2020-03-0{d}T10:00:00Z"), 0.4) for d in (1, 2, 3)]
         points = sentiment_series(scored, bucket="day", tz=UTC)
         assert all(p.value == 0.4 for p in points)
 
     def test_hand_mean(self):
         scored = [
-            (at("2020-03-01T10:00:00Z", id="a"), 0.6),
-            (at("2020-03-01T11:00:00Z", id="b"), -0.7),
-            (at("2020-03-01T12:00:00Z", id="c"), 0.0),
+            (when("2020-03-01T10:00:00Z"), 0.6),
+            (when("2020-03-01T11:00:00Z"), -0.7),
+            (when("2020-03-01T12:00:00Z"), 0.0),
         ]
         points = sentiment_series(scored, bucket="day", tz=UTC)
         assert len(points) == 1
@@ -191,8 +196,8 @@ class TestSentimentSeries:
 
     def test_empty_buckets_omitted(self):
         scored = [
-            (at("2020-03-01T10:00:00Z", id="a"), 0.5),
-            (at("2020-03-05T10:00:00Z", id="b"), 0.5),
+            (when("2020-03-01T10:00:00Z"), 0.5),
+            (when("2020-03-05T10:00:00Z"), 0.5),
         ]
         points = sentiment_series(scored, bucket="day", tz=UTC)
         assert [p.bucket.isoformat() for p in points] == ["2020-03-01", "2020-03-05"]
@@ -202,23 +207,29 @@ class TestSentimentSeries:
         for hour in range(12, 19):
             value = 0.3 if hour < 15 else -0.4
             for minute in (5, 25, 45):
-                scored.append((at(f"2020-03-11T{hour:02d}:{minute:02d}:00Z", id=f"m{hour}{minute}"), value))
+                scored.append((when(f"2020-03-11T{hour:02d}:{minute:02d}:00Z"), value))
         points = sentiment_series(scored, bucket="hour", tz=UTC)
         by_hour = {p.bucket.hour: p.value for p in points}
         assert by_hour[14] == pytest.approx(0.3, abs=1e-12)
         assert by_hour[15] == pytest.approx(-0.4, abs=1e-12)
 
-    def test_accepts_datetime_float_pairs(self):
-        msgs = [(at("2020-03-01T10:00:00Z", id="a"), 0.25)]
-        raw = [(datetime(2020, 3, 1, 10, 0, tzinfo=UTC), 0.25)]
-        assert sentiment_series(msgs, tz=UTC) == sentiment_series(raw, tz=UTC)
+    def test_accepts_datetime_float_pairs(self, tmp_path):
+        # the pairs that read_scored_csv replays from a scored CSV
+        scored = [(at("2020-03-01T10:00:00Z", id="a"), PolarityScore(value=0.25, hits=1)),
+                  (at("2020-03-01T22:30:00Z", id="b"), PolarityScore(value=-0.5, hits=2))]
+        path = tmp_path / "scored.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_scored_csv(scored, handle)
+        pairs = list(read_scored_csv(path))
+        assert pairs == [(m.timestamp, score.value) for m, score in scored]
+        assert [(p.value, p.n) for p in sentiment_series(pairs, tz=UTC)] == [(-0.125, 2)]
 
 
 class TestStanceSeries:
     def test_hand_proportions(self):
         labels = ["supports", "supports", "rejects", "other"]
         labeled = [
-            (at(f"2020-03-01T1{i}:00:00Z", id=f"m{i}"), label) for i, label in enumerate(labels)
+            (when(f"2020-03-01T1{i}:00:00Z"), label) for i, label in enumerate(labels)
         ]
         series = stance_series(labeled, bucket="day", tz=UTC)
         assert len(series) == 1
@@ -227,7 +238,7 @@ class TestStanceSeries:
         assert rates.n == 4
 
     def test_all_supports(self):
-        labeled = [(at("2020-03-01T10:00:00Z", id="a"), "supports")]
+        labeled = [(when("2020-03-01T10:00:00Z"), "supports")]
         rates = stance_series(labeled, bucket="day", tz=UTC)[0]
         assert (rates.support_rate, rates.reject_rate, rates.other_rate) == (1.0, 0.0, 0.0)
 
@@ -237,7 +248,7 @@ class TestStanceSeries:
         for month, supports in planted.items():
             for i in range(20):
                 label = "supports" if i < supports else "rejects"
-                labeled.append((at(f"2020-{month:02d}-15T10:{i:02d}:00Z", id=f"m{month}{i}"), label))
+                labeled.append((when(f"2020-{month:02d}-15T10:{i:02d}:00Z"), label))
         series = stance_series(labeled, bucket="month", tz=UTC)
         assert [r.bucket.month for r in series] == [3, 4, 5, 6]
         for rates, (month, supports) in zip(series, planted.items()):
@@ -247,16 +258,16 @@ class TestStanceSeries:
 
     def test_week_bucketing(self):
         labeled = [
-            (at("2020-03-11T10:00:00Z", id="a"), "supports"),  # Wednesday
-            (at("2020-03-13T10:00:00Z", id="b"), "rejects"),   # same week Friday
-            (at("2020-03-16T10:00:00Z", id="c"), "other"),     # next Monday
+            (when("2020-03-11T10:00:00Z"), "supports"),  # Wednesday
+            (when("2020-03-13T10:00:00Z"), "rejects"),   # same week Friday
+            (when("2020-03-16T10:00:00Z"), "other"),     # next Monday
         ]
         series = stance_series(labeled, bucket="week", tz=UTC)
         assert [r.bucket.isoformat() for r in series] == ["2020-03-09", "2020-03-16"]
         assert series[0].n == 2
 
     def test_unknown_label(self):
-        labeled = [(at("2020-03-01T10:00:00Z", id="a"), "twijfel")]
+        labeled = [(when("2020-03-01T10:00:00Z"), "twijfel")]
         with pytest.raises(InputError, match="unknown stance label 'twijfel'"):
             stance_series(labeled, bucket="day", tz=UTC)
 
@@ -267,7 +278,7 @@ class TestStanceSeries:
     @given(st.lists(st.sampled_from(["supports", "rejects", "other"]), min_size=1, max_size=30))
     def test_rates_sum_to_one(self, labels):
         labeled = [
-            (at(f"2020-03-{1 + i % 28:02d}T10:00:00Z", id=f"m{i}"), label)
+            (when(f"2020-03-{1 + i % 28:02d}T10:00:00Z"), label)
             for i, label in enumerate(labels)
         ]
         for rates in stance_series(labeled, bucket="day", tz=UTC):
@@ -543,8 +554,8 @@ class TestCsvRoundTrips:
 
     def test_stance_schema(self, tmp_path):
         labeled = [
-            (at("2020-03-01T10:00:00Z", id="a"), "supports"),
-            (at("2020-03-01T11:00:00Z", id="b"), "rejects"),
+            (when("2020-03-01T10:00:00Z"), "supports"),
+            (when("2020-03-01T11:00:00Z"), "rejects"),
         ]
         series = stance_series(labeled, bucket="day", tz=UTC)
         path = tmp_path / "stance.csv"
@@ -556,10 +567,10 @@ class TestCsvRoundTrips:
 
     def test_stance_schema_reads_support_rate(self, tmp_path):
         labeled = [
-            (at("2020-03-01T10:00:00Z", id="a"), "supports"),
-            (at("2020-03-01T11:00:00Z", id="b"), "rejects"),
-            (at("2020-03-01T12:00:00Z", id="c"), "rejects"),
-            (at("2020-03-02T10:00:00Z", id="d"), "other"),
+            (when("2020-03-01T10:00:00Z"), "supports"),
+            (when("2020-03-01T11:00:00Z"), "rejects"),
+            (when("2020-03-01T12:00:00Z"), "rejects"),
+            (when("2020-03-02T10:00:00Z"), "other"),
         ]
         series = stance_series(labeled, bucket="day", tz=UTC)
         path = tmp_path / "stance.csv"
