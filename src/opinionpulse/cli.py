@@ -187,10 +187,11 @@ def _list_within(convert, low, high):
 
 def _check_flags(args) -> None:
     """Refuse a flag the command would ignore, and two output flags that name one file."""
-    requires = {"predict": {"--in": "--out", "--out": "--in"},  # flag -> what it needs
+    requires = {"predict": {"--in": "--out", "--format": "--in", "--out": "--in"},
                 "timeseries": {"--events": "--events-out", "--events-out": "--events",
                                "--centered": "--ma", "--nonzero-only": "--kind sentiment",
-                               "--drop-reposts": "--kind frequency"}}.get(args.command, {})
+                               "--drop-reposts": "--kind frequency",
+                               "--format": "--kind frequency"}}.get(args.command, {})
 
     def given(option: str) -> bool:  # "--flag", or "--flag value"
         flag, _, value = option.partition(" ")
@@ -221,7 +222,7 @@ def _hyperparams_from(args) -> Hyperparams:
 def cmd_filter(args) -> dict:
     from . import corpus, filterkit
     query = filterkit.load_query(args.query)
-    stream = corpus.ingest(args.infile, fmt=args.format)
+    stream = corpus.ingest(args.infile, args.format or "jsonl")
     msgs = iter(stream)
     if args.lang:
         msgs = corpus.filter_lang(msgs, args.lang)
@@ -250,7 +251,7 @@ def cmd_filter(args) -> dict:
 def cmd_expand_query(args) -> dict:
     from . import corpus, filterkit
     query = filterkit.load_query(args.query)
-    stream = corpus.ingest(args.infile, fmt=args.format)
+    stream = corpus.ingest(args.infile, args.format or "jsonl")
     report = filterkit.expand_query(query, stream, top_k=args.top_k, min_count=args.min_count)
     _write_json(args.out, report.to_dict())
     return {"query": query.name, "rejected_lines": stream.stats.rejected}
@@ -259,7 +260,7 @@ def cmd_expand_query(args) -> dict:
 def cmd_sentiment(args) -> dict:
     from . import corpus, polarity
     lexicon = polarity.load_lexicon(args.lexicon)
-    stream = corpus.ingest(args.infile, fmt=args.format)
+    stream = corpus.ingest(args.infile, args.format or "jsonl")
     scored = polarity.score_stream(lexicon, stream)
 
     with _atomic_text(args.out) as handle:
@@ -278,7 +279,7 @@ def cmd_timeseries(args) -> dict:
     fields = {"kind": args.kind, "bucket": args.bucket}
     if args.kind == "frequency":
         from . import corpus
-        stream = corpus.ingest(args.infile, fmt=args.format)
+        stream = corpus.ingest(args.infile, args.format or "jsonl")
         msgs = iter(stream)
         if args.drop_reposts:
             msgs = (m for m in msgs if not m.is_repost)
@@ -313,7 +314,7 @@ def cmd_annotate_sample(args) -> dict:
     from . import corpus, filterkit
     from .stance import data
     query = filterkit.load_query(args.query)
-    stream = corpus.ingest(args.infile, fmt=args.format)
+    stream = corpus.ingest(args.infile, args.format or "jsonl")
     selected = data.prepare_annotation_set(stream, query, rate=args.rate, n=args.n,
                                            seed=args.seed)
     with _atomic_text(args.out) as handle:
@@ -380,7 +381,7 @@ def cmd_predict(args) -> dict:
                          ensure_ascii=False, sort_keys=True))
         return {"label": label}
 
-    stream = corpus.ingest(args.infile, fmt=args.format)
+    stream = corpus.ingest(args.infile, args.format or "jsonl")
     with _atomic_text(args.out) as handle:
         labeled = data.write_labeled_jsonl(stance.label_corpus(model, stream), model.labels, handle)
     return {"labeled": labeled, "rejected_lines": stream.stats.rejected}
@@ -423,7 +424,7 @@ def _add_query_flags(parser) -> None:
 def _add_corpus_flags(parser) -> None:
     parser.add_argument("--in", dest="infile", type=_input_file, required=True,
                         help="input corpus file")
-    parser.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
+    parser.add_argument("--format", choices=("jsonl", "tsv"),
                         help="corpus format (default jsonl)")
 
 
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("frequency", "sentiment"), required=True)
     p.add_argument("--in", dest="infile", type=_input_file, required=True,
                    help="corpus file (frequency) or scored CSV (sentiment)")
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
+    p.add_argument("--format", choices=("jsonl", "tsv"),
                    help="corpus format for --kind frequency (default jsonl)")
     p.add_argument("--bucket", choices=FREQUENCY_BUCKETS, default="day")
     p.add_argument("--tz", **_TZ_FLAG)
@@ -577,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--text", help="classify this text and print JSON")
     group.add_argument("--in", dest="infile", type=_input_file, help="corpus to label")
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
+    p.add_argument("--format", choices=("jsonl", "tsv"))
     p.add_argument("--out", type=_output_file, help="labeled JSONL (required with --in)")
     p.set_defaults(func=cmd_predict)
 
@@ -624,13 +625,10 @@ def main(argv=None) -> int:
         try:
             _check_flags(args)
             fields = args.func(args)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (InputError, ValueError) as exc:
+        except (UsageError, InputError, ValueError) as exc:
             # a ValueError is a library-level contract violation driven by file contents
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return 1 if isinstance(exc, UsageError) else 2
         if args.log:
             import resource  # ru_maxrss is in KiB; children are the waited-for workers
             peak = max(resource.getrusage(who).ru_maxrss

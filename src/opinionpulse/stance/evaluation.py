@@ -19,7 +19,7 @@ import select
 import signal
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,10 +34,7 @@ OBJECTIVES = ("accuracy", "fraction_score")
 
 
 def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def worker_count(jobs: int) -> int:
@@ -162,17 +159,7 @@ class EvaluationReport:
     r_pred: float | None
     fraction_score: float | None
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "confusion": [list(row) for row in self.confusion],
-            "labels": list(LABELS),
-            "r_gold": self.r_gold,
-            "r_pred": self.r_pred,
-            "fraction_score": self.fraction_score,
-            "n": self.n,
-        }
+    labels: tuple[str, ...] = field(default=LABELS, init=False)  # names confusion's axes
 
 
 def _reject_support_ratio(rejects: int, supports: int) -> float | None:
@@ -333,34 +320,17 @@ class GridSearchResult:
     table: tuple[GridRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "best": self.best.to_dict(),
-            "validation": self.validation.to_dict(),
-            "test": self.test.to_dict(),
-            "table": [
-                {
-                    "hyperparams": row.hyperparams.to_dict(),
-                    "validation": row.validation.to_dict(),
-                    "score": row.score,
-                }
-                for row in self.table
-            ],
-        }
-
-
-def _symmetric_fraction(f: float | None) -> float:
-    # min(f, 1/f): over-predicting rejects scores as badly as under-predicting.
-    if f is None:
-        return -math.inf
-    if f == 0:
-        return 0.0
-    return min(f, 1 / f)
+        return asdict(self)
 
 
 def _objective_score(report: EvaluationReport, objective: str) -> float:
     if objective == "accuracy":
         return report.accuracy
-    return _symmetric_fraction(report.fraction_score)
+    # min(f, 1/f): over-predicting rejects scores as badly as under-predicting.
+    f = report.fraction_score
+    if f is None:
+        return -math.inf
+    return min(f, 1 / f) if f else 0.0
 
 
 def _grid_config(job) -> tuple[GridRow, EvaluationReport]:

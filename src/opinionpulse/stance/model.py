@@ -59,32 +59,13 @@ SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
 SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 
-def fnv1a(data: bytes) -> int:
-    """32-bit FNV-1a. Stable across platforms, unlike hash()."""
-    value = FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * FNV_PRIME) & 0xFFFFFFFF
-    return value
-
-
-def char_ngrams(word: str, minn: int, maxn: int) -> list[str]:
-    padded = f"<{word}>"
-    grams = []
-    for size in range(minn, maxn + 1):
-        if size > len(padded):
-            break
-        for start in range(len(padded) - size + 1):
-            grams.append(padded[start : start + size])
-    return grams
-
-
 def featurize(words: Sequence[str], word_ids: dict[str, int],
               hp: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
     """Embedding rows of every word, flat, and how many of them belong to each word.
 
     A word's rows are its vocab id, if any, then ``len(word_ids) + fnv1a(gram) %
-    bucket`` for each ``char_ngrams`` gram. All n-grams are hashed together, one
+    bucket`` for each character n-gram of ``<word>``, shortest first, where ``fnv1a``
+    is 32-bit FNV-1a over the gram's UTF-8 bytes. All n-grams are hashed together, one
     numpy step per byte position; uint32 products wrap mod 2**32, as FNV-1a needs.
     """
     padded = "".join([f"<{word}>" for word in words])
@@ -99,7 +80,7 @@ def featurize(words: Sequence[str], word_ids: dict[str, int],
     starts = [np.flatnonzero(np.arange(points.size) + n <= word_end) for n in sizes]
     stops = np.concatenate([start + n for n, start in zip(sizes, starts)])
     starts = np.concatenate(starts)
-    # (size, word, start) order to (word, size, start), the order of char_ngrams
+    # (size, word, start) order to (word, size, start), each word's n-grams shortest first
     order = np.argsort(word_end[starts], kind="stable")
     first = offsets[starts[order]]
     nbytes = offsets[stops[order]] - first

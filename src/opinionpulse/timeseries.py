@@ -54,7 +54,6 @@ class SeriesPoint:
     bucket: object  # date, or tz-aware datetime for hourly buckets
     value: float
     n: int
-    partial: bool = False  # set by moving_average on short windows
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,9 @@ def moving_average(
 ) -> list[SeriesPoint]:
     """Smooth values with a trailing (or centered) window mean.
 
-    Trailing: point i averages the last `window` values ending at i; the
-    first window−1 points average what exists and are flagged partial.
-    Centered: the window straddles i and both edges are partial.
+    Trailing: point i averages the last `window` values ending at i, so the
+    first window−1 points average what exists. Centered: the window
+    straddles i and is cut short at both edges.
     """
     if window < 1:
         raise InputError("window must be at least 1")
@@ -182,22 +181,11 @@ def moving_average(
     out = []
     for i, point in enumerate(series):
         if centered:
-            lo = max(0, i - (window - 1) // 2)
-            hi = min(len(values), i + window // 2 + 1)
-            partial = hi - lo < window
+            lo, hi = max(0, i - (window - 1) // 2), i + window // 2 + 1
         else:
-            lo = max(0, i - window + 1)
-            hi = i + 1
-            partial = i < window - 1
+            lo, hi = max(0, i - window + 1), i + 1
         chunk = values[lo:hi]
-        out.append(
-            SeriesPoint(
-                bucket=point.bucket,
-                value=math.fsum(chunk) / len(chunk),
-                n=point.n,
-                partial=partial,
-            )
-        )
+        out.append(SeriesPoint(bucket=point.bucket, value=math.fsum(chunk) / len(chunk), n=point.n))
     return out
 
 

@@ -86,6 +86,27 @@ def write_labels(path, examples) -> None:
             handle.write(f"{ex.label}\t{ex.text}\n")
 
 
+def fnv1a(data: bytes) -> int:
+    """32-bit FNV-1a, one byte at a time: the scalar reference for ``featurize``'s hashes."""
+    value = 0x811C9DC5
+    for byte in data:
+        value ^= byte
+        value = (value * 0x01000193) & 0xFFFFFFFF
+    return value
+
+
+def char_ngrams(word: str, minn: int, maxn: int) -> list[str]:
+    """The ``minn``- to ``maxn``-character n-grams of ``<word>``, shortest first."""
+    padded = f"<{word}>"
+    grams = []
+    for size in range(minn, maxn + 1):
+        if size > len(padded):
+            break
+        for start in range(len(padded) - size + 1):
+            grams.append(padded[start : start + size])
+    return grams
+
+
 def sgd_gradient_error(step, E, W, b, urows, weights, y, eps=1e-6) -> float:
     """Worst relative error of ``step``'s update against central differences of its loss.
 

@@ -470,6 +470,9 @@ class TestExitCodes:
         ("timeseries", None, ["--nonzero-only"], "--nonzero-only requires --kind sentiment"),
         ("timeseries", "--kind", ["--kind", "sentiment", "--drop-reposts"],
          "--drop-reposts requires --kind frequency"),
+        ("predict", "--in", ["--text", "x", "--format", "tsv"], "--format requires --in"),
+        ("timeseries", "--kind", ["--kind", "sentiment", "--format", "tsv"],
+         "--format requires --kind frequency"),
     ])
     def test_flag_the_command_would_ignore_exits_one(self, command, drop, add, reason,
                                                       valid_runs, tmp_path, capsys):

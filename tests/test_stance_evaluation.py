@@ -1,5 +1,6 @@
 """Metrics, cross-validation, grid search and learning curves."""
 
+import json
 import logging
 import math
 import os
@@ -322,6 +323,36 @@ class TestGridSearch:
         first = grid_search(examples, [STARVED, FAST], seed=42)
         second = grid_search(examples, [STARVED, FAST], seed=42)
         assert first.to_dict() == second.to_dict()
+
+    @pytest.mark.parametrize("fraction, score", [(None, -math.inf), (0.0, 0.0), (math.inf, 0.0),
+                                                 (0.5, 0.5), (2.0, 0.5), (1.0, 1.0)])
+    def test_fraction_objective_is_symmetric(self, fraction, score):
+        report = evaluation.EvaluationReport(accuracy=0.25, confusion=(), r_gold=None,
+                                             r_pred=None, fraction_score=fraction, n=4)
+        assert evaluation._objective_score(report, "fraction_score") == score
+        assert evaluation._objective_score(report, "accuracy") == 0.25
+
+    def test_to_dict_keeps_the_grid_json_layout(self):
+        def report_dict(report):  # each report's members, as grid.json has always held them
+            return {"accuracy": report.accuracy,
+                    "confusion": [list(row) for row in report.confusion], "labels": list(LABELS),
+                    "r_gold": report.r_gold, "r_pred": report.r_pred,
+                    "fraction_score": report.fraction_score, "n": report.n}
+
+        result = grid_search(make_separable(200, seed=2), [STARVED, FAST], seed=42)
+        expected = {"best": result.best.to_dict(), "validation": report_dict(result.validation),
+                    "test": report_dict(result.test),
+                    "table": [{"hyperparams": row.hyperparams.to_dict(),
+                               "validation": report_dict(row.validation), "score": row.score}
+                              for row in result.table]}
+        got = result.to_dict()
+        assert (json.dumps(got, sort_keys=True, indent=2)
+                == json.dumps(expected, sort_keys=True, indent=2))
+        reports = [got["validation"], got["test"], *[row["validation"] for row in got["table"]]]
+        for report in reports:
+            assert set(report) == {"accuracy", "confusion", "labels", "r_gold", "r_pred",
+                                   "fraction_score", "n"}
+            assert tuple(report["labels"]) == LABELS
 
     def test_tie_breaks_to_smaller_dim(self):
         # both configs separate the validation slice perfectly -> tie on score

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_separable, sgd_gradient_error
+from conftest import char_ngrams, fnv1a, make_separable, sgd_gradient_error
 from opinionpulse.cli import main as cli_main
 from opinionpulse.corpus import Message
 from opinionpulse.exceptions import InputError
@@ -23,10 +23,8 @@ from opinionpulse.stance import Hyperparams, grid_hyperparams, load_model, predi
 from opinionpulse.stance.data import LABELS, LabeledExample
 from opinionpulse.stance import model as model_module
 from opinionpulse.stance.model import (
-    char_ngrams,
     compress,
     featurize,
-    fnv1a,
     initial_rows,
     label_corpus,
     predict_batch,
@@ -198,9 +196,10 @@ class TestInitialRows:
             assert np.array_equal(initial_rows(5, [row], 12)[0], together[i])
         assert np.array_equal(initial_rows(5, rows[::-1], 12), together[::-1])
 
-    def test_row_vector_independent_of_block(self):
-        many = initial_rows(5, np.arange(3 * model_module.INIT_BLOCK_ROWS + 17), 4)
-        for row in (0, model_module.INIT_BLOCK_ROWS, len(many) - 1):
+    def test_row_vector_independent_of_block(self, monkeypatch):
+        monkeypatch.setattr(model_module, "INIT_BLOCK_ROWS", 16)
+        many = initial_rows(5, np.arange(3 * 16 + 5), 4)
+        for row in (0, 15, 16, 17, len(many) - 1):
             assert np.array_equal(initial_rows(5, [row], 4)[0], many[row])
 
     def test_changes_with_seed(self):
@@ -532,10 +531,11 @@ class TestResolveBlocks:
                     assert label == want_label
                     assert np.array_equal(probs, want_probs)
 
-    def test_cache_allocates_per_word(self):
+    def test_cache_allocates_per_word(self, monkeypatch):
         hp = Hyperparams(dim=50, epochs=1, seed=1)
         model = train(two_class_examples(20), hp)
-        block_rows = model_module.SUM_BLOCK_BYTES // (8 * hp.dim)
+        block_rows = 10
+        monkeypatch.setattr(model_module, "SUM_BLOCK_BYTES", 8 * hp.dim * block_rows)
         words = [f"woord{i}" for i in range(3 * block_rows + 7)]
         seen = 0
         for n in (1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows, len(words)):
@@ -545,9 +545,14 @@ class TestResolveBlocks:
             assert len(cache.slots) == n
             allocated = sum(block.nbytes for block in cache.blocks)
             assert allocated <= 8 * hp.dim * (n + block_rows), (n, allocated)
-            # numpy advises huge pages for an array of 4 MiB or more
-            assert all(block.nbytes < 4 * 2**20 for block in cache.blocks)
             assert cache.counts.nbytes == 8 * model_module.PREDICT_CACHE_WORDS
+
+    def test_cache_block_stays_below_huge_pages(self):
+        # numpy advises huge pages for an array of 4 MiB or more
+        model = train(two_class_examples(20), Hyperparams(dim=50, epochs=1, bucket=1000, seed=1))
+        predict_batch(model, ["woord"])
+        blocks = model._word_cache.blocks
+        assert len(blocks) == 1 and blocks[0].nbytes < 4 * 2**20, [b.nbytes for b in blocks]
 
     def test_label_corpus_memory_is_per_block(self, monkeypatch):
         # 64 texts of 400 distinct 8-letter words: 25,600 new words of 26 rows each

@@ -297,23 +297,17 @@ class TestMovingAverage:
         series = day_points([1.0, 5.0, -2.0])
         smoothed = moving_average(series, window=1)
         assert [p.value for p in smoothed] == [1.0, 5.0, -2.0]
-        assert not any(p.partial for p in smoothed)
 
     def test_one_through_seven(self):
         series = day_points([1, 2, 3, 4, 5, 6, 7])
         smoothed = moving_average(series, window=7)
         assert smoothed[-1].value == 4.0
-        assert smoothed[0].value == 1.0  # partial: mean of [1]
+        assert smoothed[0].value == 1.0  # a short window: mean of [1]
         assert smoothed[1].value == 1.5
-
-    def test_partial_flags_trailing(self):
-        smoothed = moving_average(day_points([1, 2, 3, 4, 5]), window=3)
-        assert [p.partial for p in smoothed] == [True, True, False, False, False]
 
     def test_centered_mode(self):
         smoothed = moving_average(day_points([1, 2, 3, 4, 5]), window=3, centered=True)
         assert [p.value for p in smoothed] == [1.5, 2.0, 3.0, 4.0, 4.5]
-        assert [p.partial for p in smoothed] == [True, False, False, False, True]
 
     def test_preserves_buckets_and_counts(self):
         series = day_points([1, 2, 3])
