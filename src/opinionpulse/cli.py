@@ -61,13 +61,9 @@ def _setup_logging(json_mode: bool):
     """
     handler = logging.StreamHandler(sys.stderr)
     if json_mode:
-        class _JsonFormatter(logging.Formatter):
-            def format(self, record):
-                return json.dumps({"event": "log", "level": record.levelname.lower(),
-                                   "logger": record.name, "message": record.getMessage()},
-                                  ensure_ascii=False, sort_keys=True)
-
-        handler.setFormatter(_JsonFormatter())
+        handler.format = lambda record: json.dumps(
+            {"event": "log", "level": record.levelname.lower(), "logger": record.name,
+             "message": record.getMessage()}, ensure_ascii=False, sort_keys=True)
         level = logging.INFO
     else:
         handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -167,11 +163,17 @@ def _builtin_query_path(name: str) -> Path:
     return filterkit.builtin_query_path(name)
 
 
+def _comma_list(convert, expected: str, accept):
+    """A non-empty comma-separated list of ``convert`` values that ``accept`` takes."""
+    return _flag_type(lambda text: [convert(item) for item in text.split(",") if item.strip()],
+                      f"a comma-separated list of {expected}",
+                      lambda values: values and accept(values))
+
+
 _tz = _flag_type(_parse_tz, "an offset such as +01:00")
 _builtin_query = _flag_type(_builtin_query_path, "a shipped query name")
-_sizes = _flag_type(lambda text: [int(item) for item in text.split(",") if item.strip()],
-                    "a comma-separated list of increasing positive integers",
-                    lambda sizes: sizes and sizes[0] >= 1 and sizes == sorted(set(sizes)))
+_sizes = _comma_list(int, "increasing positive integers",
+                     lambda sizes: sizes[0] >= 1 and sizes == sorted(set(sizes)))
 _TZ_FLAG = {"type": _tz, "default": DEFAULT_TZ_OFFSET,
             "help": f"bucketing offset (default {DEFAULT_TZ_OFFSET}); "
                     "give a negative one as --tz=-05:30"}
@@ -179,10 +181,8 @@ _TZ_FLAG = {"type": _tz, "default": DEFAULT_TZ_OFFSET,
 
 def _list_within(convert, low, high):
     """A non-empty comma-separated list of ``convert`` values, each in [low, high]."""
-    what = "integers" if convert is int else "numbers"
-    return _flag_type(lambda text: [convert(item) for item in text.split(",") if item.strip()],
-                      f"a comma-separated list of {what} in [{low}, {high}]",
-                      lambda values: values and all(low <= v <= high for v in values))
+    return _comma_list(convert, f"{'integers' if convert is int else 'numbers'} in [{low}, {high}]",
+                       lambda values: all(low <= v <= high for v in values))
 
 
 def _check_flags(args) -> None:
@@ -460,8 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("filter", parents=[common],
-                       help="keep messages that match a topic query")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("filter", cmd_filter, "keep messages that match a topic query")
     _add_corpus_flags(p)
     _add_query_flags(p)
     p.add_argument("--out", type=_output_file, required=True, help="matched messages, JSONL")
@@ -472,10 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="duplicate removal before filtering (default none)")
     p.add_argument("--drop-reposts", action="store_true",
                    help="skip reposts instead of counting them")
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("expand-query", parents=[common],
-                       help="rank candidate query terms by collocation t-score")
+    p = command("expand-query", cmd_expand_query,
+                "rank candidate query terms by collocation t-score")
     _add_corpus_flags(p)
     _add_query_flags(p)
     p.add_argument("--top-k", type=_positive_int, default=20,
@@ -483,10 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=_positive_int, default=5,
                    help="minimum matched-side count for a candidate (default 5)")
     p.add_argument("--out", type=_output_file, help="report JSON (default stdout)")
-    p.set_defaults(func=cmd_expand_query)
 
-    p = sub.add_parser("sentiment", parents=[common],
-                       help="score each message against a polarity lexicon")
+    p = command("sentiment", cmd_sentiment, "score each message against a polarity lexicon")
     _add_corpus_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lexicon", type=_input_file, help="lexicon TSV (term<TAB>score)")
@@ -495,10 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_output_file, required=True,
                    help="scored CSV (id,timestamp,value,hits)")
     p.add_argument("--summary", type=_output_file, help="optional summary JSON")
-    p.set_defaults(func=cmd_sentiment)
 
-    p = sub.add_parser("timeseries", parents=[common],
-                       help="bucket a corpus or scored CSV into a time series")
+    p = command("timeseries", cmd_timeseries, "bucket a corpus or scored CSV into a time series")
     p.add_argument("--kind", choices=("frequency", "sentiment"), required=True)
     p.add_argument("--in", dest="infile", type=_input_file, required=True,
                    help="corpus file (frequency) or scored CSV (sentiment)")
@@ -518,10 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frequency only: skip reposts")
     p.add_argument("--nonzero-only", action="store_true",
                    help="sentiment only: drop zero-score messages before averaging")
-    p.set_defaults(func=cmd_timeseries)
 
-    p = sub.add_parser("annotate-sample", parents=[common],
-                       help="draw a deduplicated on-topic sample for manual labeling")
+    p = command("annotate-sample", cmd_annotate_sample,
+                "draw a deduplicated on-topic sample for manual labeling")
     _add_corpus_flags(p)
     _add_query_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
@@ -529,24 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=_positive_int, help="exact sample size")
     p.add_argument("--out", type=_output_file, required=True,
                    help="annotation TSV template (empty label column)")
-    p.set_defaults(func=cmd_annotate_sample)
 
-    p = sub.add_parser("kappa", parents=[common],
-                       help="inter-annotator agreement between two label TSVs")
+    p = command("kappa", cmd_kappa, "inter-annotator agreement between two label TSVs")
     p.add_argument("--a", type=_input_file, required=True, help="first annotator's TSV")
     p.add_argument("--b", type=_input_file, required=True, help="second annotator's TSV")
-    p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train a stance classifier on a labeled TSV")
+    p = command("train", cmd_train, "train a stance classifier on a labeled TSV")
     p.add_argument("--labels", type=_input_file, required=True,
                    help="label<TAB>text training file")
     _add_hyperparam_flags(p, defaults)
     p.add_argument("--out", type=_output_file, required=True, help="model file")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid-search", parents=[common],
-                       help="pick hyperparameters on an 80/10/10 split")
+    p = command("grid-search", cmd_grid_search, "pick hyperparameters on an 80/10/10 split")
     p.add_argument("--labels", type=_input_file, required=True, help="label<TAB>text file")
     p.add_argument("--objective", choices=("accuracy", "fraction_score"),
                    default="fraction_score")
@@ -557,10 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma list, each in [{low},{high}]")
     _add_hash_flags(p, defaults)
     p.add_argument("--out", type=_output_file, help="report JSON (default stdout)")
-    p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("learning-curve", parents=[common],
-                       help="accuracy and fraction score vs training-set size")
+    p = command("learning-curve", cmd_learning_curve,
+                "accuracy and fraction score vs training-set size")
     p.add_argument("--labels", type=_input_file, required=True, help="label<TAB>text file")
     _add_hyperparam_flags(p, defaults)
     p.add_argument("--sizes", type=_sizes, required=True,
@@ -570,34 +561,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-size", type=_positive_int,
                    help="held-out size (default: everything beyond the largest train size)")
     p.add_argument("--out", type=_output_file, help="curve CSV (default stdout)")
-    p.set_defaults(func=cmd_learning_curve)
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="label one text or a whole corpus with a trained model")
+    p = command("predict", cmd_predict, "label one text or a whole corpus with a trained model")
     p.add_argument("--model", type=_input_file, required=True, help="model file from train")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--text", help="classify this text and print JSON")
     group.add_argument("--in", dest="infile", type=_input_file, help="corpus to label")
     p.add_argument("--format", choices=("jsonl", "tsv"))
     p.add_argument("--out", type=_output_file, help="labeled JSONL (required with --in)")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("stance-series", parents=[common],
-                       help="stance rates per bucket from predict output")
+    p = command("stance-series", cmd_stance_series, "stance rates per bucket from predict output")
     p.add_argument("--in", dest="infile", type=_input_file, required=True,
                    help="labeled JSONL from predict")
     p.add_argument("--bucket", choices=STANCE_BUCKETS, default="day")
     p.add_argument("--tz", **_TZ_FLAG)
     p.add_argument("--out", type=_output_file, required=True, help="stance CSV")
-    p.set_defaults(func=cmd_stance_series)
 
-    p = sub.add_parser("correlate", parents=[common],
-                       help="Pearson r between two series CSVs over shared buckets")
+    p = command("correlate", cmd_correlate, "Pearson r between two series CSVs over shared buckets")
     p.add_argument("--a", type=_input_file, required=True, help="first series CSV")
     p.add_argument("--b", type=_input_file, required=True,
                    help="second series CSV (may be date,value)")
     p.add_argument("--out", type=_output_file, help="optional result JSON")
-    p.set_defaults(func=cmd_correlate)
 
     return parser
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .exceptions import InputError, json_loads
+from .exceptions import InputError, from_isoformat, json_loads
 
 try:  # the blake2b that hashlib returns, without the OpenSSL library hashlib maps (~3.5 MiB)
     from _blake2 import blake2b
@@ -55,7 +55,7 @@ def parse_timestamp(value) -> datetime:
                 return datetime.fromtimestamp(int(raw), tz=timezone.utc)
             if raw.endswith(("Z", "z")):
                 raw = raw[:-1] + "+00:00"
-            return _as_utc(datetime.fromisoformat(raw))
+            return _as_utc(from_isoformat(datetime, raw))
     except (OverflowError, OSError, ValueError):
         # not a date, past time_t or datetime's years 1-9999, or a NaN or infinite float
         raise ValueError(f"bad timestamp: {value!r}") from None

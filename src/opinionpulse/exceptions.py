@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, and the one reader of input files."""
+"""Exception types shared across the pipeline, the one reader of input files, one ISO parser."""
 
 import json
 import re
@@ -12,6 +12,19 @@ class PipelineError(Exception):
 
 class InputError(PipelineError):
     """A file or data item violates its declared format or contract."""
+
+
+# Python 3.10's fromisoformat grammar: 3.11 also takes 20200312, 2020-W11-4 and more
+_ISO = {"date": re.compile(r"\d{4}-\d\d-\d\d", re.ASCII),
+        "datetime": re.compile(r"\d{4}-\d\d-\d\d(?:.\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?"
+                               r"(?:[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?", re.ASCII | re.DOTALL)}
+
+
+def from_isoformat(kind, text: str):
+    """``kind.fromisoformat(text)`` for ``kind`` date or datetime, in Python 3.10's grammar."""
+    if not _ISO[kind.__name__].fullmatch(text):
+        raise ValueError(f"not an ISO {kind.__name__}: {text!r}")
+    return kind.fromisoformat(text)
 
 
 @contextmanager

@@ -86,8 +86,8 @@ class PolarityScore:
 def load_lexicon(path) -> PolarityLexicon:
     """Load a TSV lexicon (term<TAB>score, UTF-8, # comments).
 
-    Word terms are lowercased; emoji terms are kept verbatim. Scores
-    outside [-1, 1] and duplicate terms fail with the line number.
+    Word terms are lowercased, emoji terms kept verbatim. A score outside
+    [-1, 1], or a duplicate, empty or whitespace-padded term, fails with its line number.
     """
     path = Path(path)
     words: dict = {}
@@ -101,6 +101,8 @@ def load_lexicon(path) -> PolarityLexicon:
             if len(parts) != 2:
                 raise ValueError("expected term<TAB>score")
             term, raw_score = parts[0], parts[1].strip()
+            if not term or term != term.strip():  # such a term never equals a token
+                raise ValueError(f"bad term {term!r}: empty or padded with whitespace")
             try:
                 score = float(raw_score)
             except ValueError:

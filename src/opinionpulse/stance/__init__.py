@@ -10,7 +10,6 @@ from importlib import import_module
 
 # name -> submodule that defines it, imported on first access
 _LAZY = {
-    "AgreementReport": "agreement",
     "kappa": "agreement",
     "LABELS": "data",
     "LabeledExample": "data",
@@ -18,16 +17,12 @@ _LAZY = {
     "read_labeled_tsv": "data",
     "Hyperparams": "params",
     "grid_hyperparams": "params",
-    "StanceModel": "model",
     "label_corpus": "model",
     "load_model": "model",
     "predict": "model",
     "save_model": "model",
     "train": "model",
-    "CrossValidationResult": "evaluation",
-    "EvaluationReport": "evaluation",
     "GridSearchResult": "evaluation",
-    "LearningCurvePoint": "evaluation",
     "cross_validate": "evaluation",
     "evaluate": "evaluation",
     "grid_search": "evaluation",

@@ -49,34 +49,30 @@ def worker_count(jobs: int) -> int:
     return max(1, min(jobs, _usable_cpus()))
 
 
-def _captured(fn: Callable, job):
-    """Run ``fn(job)`` in a worker: (log records it emitted, result, exception)."""
-    records = []
-    capture = logging.Handler()
-    capture.emit = records.append
-    package = logging.getLogger("opinionpulse")
-    # the worker's records go back to the parent, never to the stderr it inherited
-    package.handlers[:] = [capture]
-    package.propagate = False
-    try:
-        result, error = fn(job), None
-    except Exception as exc:  # raised in the parent, after the job's records
-        result, error = None, exc
-    for record in records:
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-    return records, result, error
-
-
 def _reply(fn: Callable, job, read_end: int, write_end: int):
-    """In a forked child: write ``_captured(fn, job)``, pickled, to its pipe and exit.
+    """In a forked child: run ``fn(job)``, write its reply to the pipe and exit.
 
+    The reply, pickled, is (log records the job emitted, result, exception).
     Never returns, so the child cannot run on in its parent's frames.
     """
     status = 1
     try:
         os.close(read_end)
+        records = []
+        capture = logging.Handler()
+        capture.emit = records.append
+        package = logging.getLogger("opinionpulse")
+        # the worker's records go back to the parent, never to the stderr it inherited
+        package.handlers[:] = [capture]
+        package.propagate = False
+        try:
+            result, error = fn(job), None
+        except Exception as exc:  # raised in the parent, after the job's records
+            result, error = None, exc
+        for record in records:
+            record.msg, record.args, record.exc_info = record.getMessage(), None, None
         with os.fdopen(write_end, "wb") as out:
-            out.write(pickle.dumps(_captured(fn, job), pickle.HIGHEST_PROTOCOL))
+            out.write(pickle.dumps((records, result, error), pickle.HIGHEST_PROTOCOL))
         status = 0
     except BaseException:  # an unpicklable reply: the parent reports the exit status
         traceback.print_exc()

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .constants import DEFAULT_TZ_OFFSET, FREQUENCY_BUCKETS, LABELS, STANCE_BUCKETS
-from .exceptions import InputError, input_json, input_lines
+from .exceptions import InputError, from_isoformat, input_json, input_lines
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,8 @@ def bucket_key(ts: datetime, bucket: str, tz: timezone):
     if bucket == "day":
         return local.date()
     if bucket == "hour":
-        return datetime(local.year, local.month, local.day, local.hour, tzinfo=local.tzinfo)
+        return datetime(local.year, local.month, local.day, local.hour, tzinfo=local.tzinfo,
+                        fold=local.fold)
     if bucket == "week":
         return local.date() - timedelta(days=local.weekday())
     if bucket == "month":
@@ -236,7 +237,9 @@ def load_events(path) -> list[Event]:
     events = []
     for i, item in enumerate(raw):
         try:
-            events.append(Event(date=date.fromisoformat(item["date"]), label=str(item["label"])))
+            if not isinstance(item["label"], str):
+                raise TypeError("a label is a string")
+            events.append(Event(date=from_isoformat(date, item["date"]), label=item["label"]))
         except (TypeError, KeyError, ValueError):
             raise InputError(f"{name}: bad event at index {i}") from None
     return events
@@ -289,15 +292,11 @@ def format_bucket(bucket) -> str:
 
 def parse_bucket(text: str):
     """Inverse of format_bucket: a date, else a tz-aware hour datetime."""
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        pass
-    try:
-        parsed = datetime.fromisoformat(text)
+    try:  # a datetime in the grammar of from_isoformat is longer than a date
+        parsed = from_isoformat(date if len(text) == 10 else datetime, text)
     except ValueError:
         raise InputError(f"unparseable bucket {text!r}") from None
-    if parsed.tzinfo is None:
+    if type(parsed) is datetime and parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed
 
@@ -364,7 +363,7 @@ def read_series_csv(path) -> list[SeriesPoint]:
                 raise ValueError(f"expected {','.join(columns)}")
             text = row[0].strip()
             try:
-                key = date.fromisoformat(text) if n_col is None else parse_bucket(text)
+                key = from_isoformat(date, text) if n_col is None else parse_bucket(text)
             except (InputError, ValueError):
                 raise ValueError(f"unparseable {columns[0]} {row[0]!r}") from None
             if points and type(key) is not type(next(iter(points))):

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,155 @@ class TestHelpAndVersion:
         assert result.stdout == f"opinionpulse {__version__}\n"
 
 
+# (option strings, dest, default, required, choices, nargs, help) of every action,
+# in parser order; written from the parser as it was before build_parser declared
+# each subcommand in one call, so a rewrite of the parser cannot change its surface
+_COMMON_ROWS = [
+    (("-h", "--help"), "help", "==SUPPRESS==", False, None, 0, "show this help message and exit"),
+    (("--seed",), "seed", 42, False, None, None, "seed for anything random (default 42)"),
+    (("--log",), "log", False, False, None, 0, "emit a JSON-lines run log on stderr"),
+]
+_CORPUS_ROWS = [
+    (("--in",), "infile", None, True, None, None, "input corpus file"),
+    (("--format",), "format", None, False, ("jsonl", "tsv"), None, "corpus format (default jsonl)"),
+]
+_QUERY_ROWS = [
+    (("--query",), "query", None, False, None, None, "topic query JSON file"),
+    (("--builtin",), "query", None, False, None, None,
+     "shipped query: table2 (alias pandemic) or socialdistancing (alias social-distancing)"),
+]
+_HASH_ROWS = [
+    (("--char-ngram-min",), "char_ngram_min", 3, False, None, None,
+     "shortest hashed character n-gram (default %(default)s)"),
+    (("--char-ngram-max",), "char_ngram_max", 6, False, None, None,
+     "longest hashed character n-gram (default %(default)s)"),
+    (("--bucket",), "bucket", 2000000, False, None, None,
+     "hash buckets for character n-grams (default %(default)s)"),
+]
+_HYPERPARAM_ROWS = [
+    (("--dim",), "dim", 10, False, None, None, "embedding width (default %(default)s)"),
+    (("--epochs",), "epochs", 10, False, None, None, "training epochs (default %(default)s)"),
+    (("--lr",), "lr", 0.2, False, None, None, "initial learning rate (default %(default)s)"),
+    *_HASH_ROWS,
+]
+_TZ_ROW = (("--tz",), "tz", "+01:00", False, None, None,
+           "bucketing offset (default +01:00); give a negative one as --tz=-05:30")
+PARSER_SURFACE = {
+    "filter": ("cmd_filter", [
+        *_CORPUS_ROWS, *_QUERY_ROWS,
+        (("--out",), "out", None, True, None, None, "matched messages, JSONL"),
+        (("--unmatched-out",), "unmatched_out", None, False, None, None,
+         "optional JSONL for the rest"),
+        (("--stats",), "stats", None, False, None, None, "optional ingest-stats JSON"),
+        (("--lang",), "lang", None, False, None, None,
+         "keep only this language tag (plus untagged)"),
+        (("--dedup",), "dedup", "none", False, ("none", "by_id", "by_exact_text"), None,
+         "duplicate removal before filtering (default none)"),
+        (("--drop-reposts",), "drop_reposts", False, False, None, 0,
+         "skip reposts instead of counting them"),
+    ]),
+    "expand-query": ("cmd_expand_query", [
+        *_CORPUS_ROWS, *_QUERY_ROWS,
+        (("--top-k",), "top_k", 20, False, None, None, "candidates per round (default 20)"),
+        (("--min-count",), "min_count", 5, False, None, None,
+         "minimum matched-side count for a candidate (default 5)"),
+        (("--out",), "out", None, False, None, None, "report JSON (default stdout)"),
+    ]),
+    "sentiment": ("cmd_sentiment", [
+        *_CORPUS_ROWS,
+        (("--lexicon",), "lexicon", None, False, None, None, "lexicon TSV (term<TAB>score)"),
+        (("--toy-lexicon",), "lexicon", None, False, None, 0, "use the shipped toy lexicon"),
+        (("--out",), "out", None, True, None, None, "scored CSV (id,timestamp,value,hits)"),
+        (("--summary",), "summary", None, False, None, None, "optional summary JSON"),
+    ]),
+    "timeseries": ("cmd_timeseries", [
+        (("--kind",), "kind", None, True, ("frequency", "sentiment"), None, None),
+        (("--in",), "infile", None, True, None, None,
+         "corpus file (frequency) or scored CSV (sentiment)"),
+        (("--format",), "format", None, False, ("jsonl", "tsv"), None,
+         "corpus format for --kind frequency (default jsonl)"),
+        (("--bucket",), "bucket", "day", False, ("day", "hour"), None, None),
+        _TZ_ROW,
+        (("--out",), "out", None, True, None, None, "series CSV"),
+        (("--ma",), "ma", None, False, None, None, "moving-average window (emits bucket,mean,n)"),
+        (("--centered",), "centered", False, False, None, 0,
+         "center the moving-average window instead of trailing"),
+        (("--events",), "events", None, False, None, None, "events JSON to attach to buckets"),
+        (("--events-out",), "events_out", None, False, None, None,
+         "where to write the event-marker report"),
+        (("--drop-reposts",), "drop_reposts", False, False, None, 0,
+         "frequency only: skip reposts"),
+        (("--nonzero-only",), "nonzero_only", False, False, None, 0,
+         "sentiment only: drop zero-score messages before averaging"),
+    ]),
+    "annotate-sample": ("cmd_annotate_sample", [
+        *_CORPUS_ROWS, *_QUERY_ROWS,
+        (("--rate",), "rate", None, False, None, None, "per-message sampling rate in (0,1]"),
+        (("--n",), "n", None, False, None, None, "exact sample size"),
+        (("--out",), "out", None, True, None, None,
+         "annotation TSV template (empty label column)"),
+    ]),
+    "kappa": ("cmd_kappa", [
+        (("--a",), "a", None, True, None, None, "first annotator's TSV"),
+        (("--b",), "b", None, True, None, None, "second annotator's TSV"),
+    ]),
+    "train": ("cmd_train", [
+        (("--labels",), "labels", None, True, None, None, "label<TAB>text training file"),
+        *_HYPERPARAM_ROWS,
+        (("--out",), "out", None, True, None, None, "model file"),
+    ]),
+    "grid-search": ("cmd_grid_search", [
+        (("--labels",), "labels", None, True, None, None, "label<TAB>text file"),
+        (("--objective",), "objective", "fraction_score", False,
+         ("accuracy", "fraction_score"), None, None),
+        (("--dims",), "dims", [10], False, None, None, "comma list, each in [10,300]"),
+        (("--epochs",), "epochs", [10], False, None, None, "comma list, each in [10,500]"),
+        (("--lrs",), "lrs", [0.2], False, None, None, "comma list, each in [0.05,1.0]"),
+        *_HASH_ROWS,
+        (("--out",), "out", None, False, None, None, "report JSON (default stdout)"),
+    ]),
+    "learning-curve": ("cmd_learning_curve", [
+        (("--labels",), "labels", None, True, None, None, "label<TAB>text file"),
+        *_HYPERPARAM_ROWS,
+        (("--sizes",), "sizes", None, True, None, None, "comma list of increasing training sizes"),
+        (("--repeats",), "repeats", 1, False, None, None, "repeats per size (default 1)"),
+        (("--test-size",), "test_size", None, False, None, None,
+         "held-out size (default: everything beyond the largest train size)"),
+        (("--out",), "out", None, False, None, None, "curve CSV (default stdout)"),
+    ]),
+    "predict": ("cmd_predict", [
+        (("--model",), "model", None, True, None, None, "model file from train"),
+        (("--text",), "text", None, False, None, None, "classify this text and print JSON"),
+        (("--in",), "infile", None, False, None, None, "corpus to label"),
+        (("--format",), "format", None, False, ("jsonl", "tsv"), None, None),
+        (("--out",), "out", None, False, None, None, "labeled JSONL (required with --in)"),
+    ]),
+    "stance-series": ("cmd_stance_series", [
+        (("--in",), "infile", None, True, None, None, "labeled JSONL from predict"),
+        (("--bucket",), "bucket", "day", False, ("day", "week", "month"), None, None),
+        _TZ_ROW,
+        (("--out",), "out", None, True, None, None, "stance CSV"),
+    ]),
+    "correlate": ("cmd_correlate", [
+        (("--a",), "a", None, True, None, None, "first series CSV"),
+        (("--b",), "b", None, True, None, None, "second series CSV (may be date,value)"),
+        (("--out",), "out", None, False, None, None, "optional result JSON"),
+    ]),
+}
+
+
+class TestParserSurface:
+    def test_every_subcommand_keeps_its_flags_and_function(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert list(sub.choices) == list(SUBCOMMANDS) == list(PARSER_SURFACE)
+        for name, parser in sub.choices.items():
+            func, rows = PARSER_SURFACE[name]
+            assert parser.get_default("func").__name__ == func, name
+            assert [(tuple(a.option_strings), a.dest, a.default, a.required, a.choices,
+                     a.nargs, a.help) for a in parser._actions] == [*_COMMON_ROWS, *rows], name
+
+
 class TestImportCost:
     # runs in a fresh interpreter, because the test process has numpy loaded already
     SCRIPT = (
@@ -331,20 +481,24 @@ class TestImportFootprint:
                 "--out", str(tmp_path / "out")]
         self.run(argv, {"filterkit", *self.NO_STANCE})
 
-    @pytest.mark.parametrize("package", [opinionpulse, opinionpulse.stance],
-                             ids=["opinionpulse", "stance"])
+    def test_package_defines_only_its_version(self):
+        # each name is imported from its module; the package re-exports none
+        names = [name for name, value in vars(opinionpulse).items()
+                 if not name.startswith("__") and not isinstance(value, types.ModuleType)]
+        assert names == []
+
+    @pytest.mark.parametrize("package", [opinionpulse.stance], ids=["stance"])
     def test_every_exported_name_resolves(self, package):
         for name in package.__all__:
             value = getattr(package, name)
-            if name != "__version__":
-                module = sys.modules[f"{package.__name__}.{package._LAZY[name]}"]
-                assert value is getattr(module, name)
+            module = sys.modules[f"{package.__name__}.{package._LAZY[name]}"]
+            assert value is getattr(module, name)
         with pytest.raises(AttributeError):
             package.no_such_name
         from opinionpulse import corpus, filterkit, polarity, stance, timeseries, tokenization
         assert stance is opinionpulse.stance and callable(tokenization.tokenize)
 
-    @pytest.mark.parametrize("package", ["opinionpulse", "opinionpulse.stance"])
+    @pytest.mark.parametrize("package", ["opinionpulse.stance"])
     def test_star_import_gives_every_lazy_name(self, package):
         namespace = {}
         exec(f"from {package} import *", namespace)

@@ -58,10 +58,21 @@ class TestParseTimestamp:
         "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
         # not a date: an epoch string is ASCII digits with an optional minus
         float("nan"), "\u00b2", "\u0661\u0665\u0668\u0663" + "\u0660" * 6,
+        # forms fromisoformat takes from Python 3.11 on, refused on every interpreter
+        "20200312T150000Z", "2020-W11-4T15:00", "2020-03-12T15:00:00.5Z", "2020-03-12T15:00+0100",
     ])
     def test_value_no_datetime_holds_raises_value_error(self, value):
         with pytest.raises(ValueError, match=r"^bad timestamp: "):
             parse_timestamp(value)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("2020-03-12", datetime(2020, 3, 12)),
+        ("2020-03-12 15", datetime(2020, 3, 12, 15)),
+        ("2020-03-12\u00e915:30", datetime(2020, 3, 12, 15, 30)),
+        ("2020-03-12T16:30:00.250+01:00:30", datetime(2020, 3, 12, 15, 29, 30, 250000)),
+    ])
+    def test_python_3_10_forms(self, value, expected):
+        assert parse_timestamp(value) == expected.replace(tzinfo=timezone.utc)
 
 
 class TestMessage:
@@ -576,6 +587,23 @@ def test_streaming_memory_is_flat(tmp_path):
 # The reader below is ingest as it was before its fast paths: json.loads per
 # line, the general timestamp parser, and the public Message constructor.
 
+# the ISO forms that datetime.fromisoformat takes on Python 3.10, spelled out: Y, M, D,
+# h, m, s and f stand for an ASCII digit, T for any one character and + for a sign
+PY310_FORMS = ["YYYY-MM-DD"] + [
+    f"YYYY-MM-DDT{time}{offset}"
+    for time in ("hh", "hh:mm", "hh:mm:ss", "hh:mm:ss.fff", "hh:mm:ss.ffffff")
+    for offset in ("", "+hh:mm", "+hh:mm:ss", "+hh:mm:ss.ffffff")
+]
+
+
+def fits(form: str, text: str) -> bool:
+    def char_fits(f, c):
+        if f in "YMDhmsf":
+            return c in "0123456789"
+        return f == "T" or c in ("+-" if f == "+" else f)
+    return len(form) == len(text) and all(map(char_fits, form, text))
+
+
 def reference_parse_timestamp(value) -> datetime:
     if isinstance(value, bool):
         raise ValueError(f"bad timestamp: {value!r}")
@@ -588,6 +616,8 @@ def reference_parse_timestamp(value) -> datetime:
                 return datetime.fromtimestamp(int(raw), tz=timezone.utc)
             if raw.endswith(("Z", "z")):
                 raw = raw[:-1] + "+00:00"
+            if not any(fits(form, raw) for form in PY310_FORMS):
+                raise ValueError("a form later Pythons add")
             parsed = datetime.fromisoformat(raw)
             if parsed.tzinfo is None:
                 return parsed.replace(tzinfo=timezone.utc)
@@ -673,6 +703,12 @@ ODD_TIMESTAMPS = [
     "\u0662\u0660\u0662\u0660-03-12T15:00:00Z", "2020-03-12T15:00:0\u0661Z", "abcdefghijklmnopqrsZ",
     " 2020-03-12T15:00:00Z", "2020-03-12T15:00:00Z ", "1583000000", "-5", "", "Z", 1583000000,
     1e400, True, None, [2020],
+    # taken by fromisoformat from Python 3.11 on only, so refused on every interpreter
+    "2020-W11-4T15:00", "2020-03-12T15:00:00.5Z", "2020-03-12T15:00:00,250Z",
+    "2020-03-12T1500Z", "2020-03-12T15:00+0100", "2020-072T15:00Z",
+    # the 3.10 grammar at its edges
+    "2020-03-12", "2020-03-12T15", "2020-03-12\u00e915:00Z", "2020-03-12T15:00:00+01:00:30",
+    "2020-03-12T15:00:00.123456-01:00:30.250000", "2020-03-12T15:00:00+01:00:30.25",
 ]
 TIMESTAMPS = st.one_of(
     st.sampled_from(ODD_TIMESTAMPS),

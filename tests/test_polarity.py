@@ -69,6 +69,12 @@ class TestLoadLexicon:
         with pytest.raises(InputError, match=r"duplicate term 'goed', line 3"):
             load_lexicon(tiny(tmp_path, "goed\t0.6\nslecht\t-0.7\nGOED\t0.1\n"))
 
+    @pytest.mark.parametrize("line", ["goed \t0.8", " goed\t0.8", "\t0.5"])
+    def test_term_that_can_never_match(self, tmp_path, line):
+        with pytest.raises(InputError, match=r"lex\.tsv: bad term .*: empty or padded with "
+                                             r"whitespace, line 2"):
+            load_lexicon(tiny(tmp_path, f"slecht\t-0.7\n{line}\n"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="lexicon file not found"):
             load_lexicon(tmp_path / "nope.tsv")

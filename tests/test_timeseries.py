@@ -4,7 +4,7 @@ import math
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import msg
@@ -92,6 +92,8 @@ class TestBucketKey:
     @given(ts=st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
                            timezones=st.just(UTC)),
            offset=st.integers(-23 * 60 - 59, 23 * 60 + 59))
+    # fold=1 survives astimezone to a fixed offset; the key must keep it, as replace() does
+    @example(ts=datetime(2020, 3, 12, 15, 30, tzinfo=UTC).replace(fold=1), offset=0)
     def test_hour_key_is_the_truncated_local_time(self, ts, offset):
         tz = timezone(timedelta(minutes=offset))
         key = bucket_key(ts, "hour", tz)
@@ -442,6 +444,13 @@ class TestExternalSeries:
         with pytest.raises(InputError, match=r"unparseable date 'gisteren', line 1"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("text", ["20200301", "2020-W09-7"])
+    def test_date_in_a_form_python_3_10_refuses(self, tmp_path, text):
+        path = tmp_path / "cbs.csv"
+        path.write_text(f"2020-02-29,11\n{text},12\n", encoding="utf-8")
+        with pytest.raises(InputError, match=rf"unparseable date '{text}', line 2"):
+            read_series_csv(path)
+
     def test_bad_value(self, tmp_path):
         path = tmp_path / "cbs.csv"
         path.write_text("2020-03-01,veel\n", encoding="utf-8")
@@ -468,6 +477,18 @@ class TestEvents:
     def test_bad_event_reports_index(self, tmp_path):
         path = tmp_path / "events.json"
         path.write_text('[{"date": "2020-03-09", "label": "ok"}, {"datum": "x"}]', encoding="utf-8")
+        with pytest.raises(InputError, match="bad event at index 1"):
+            load_events(path)
+
+    # a label is a string, never coerced; a date is YYYY-MM-DD on every interpreter
+    @pytest.mark.parametrize("date_, label", [
+        ('"2020-03-10"', "null"), ('"2020-03-10"', "7"), ('"2020-03-10"', '["x"]'),
+        ('"20200310"', '"x"'), ('"2020-W11-2"', '"x"'), ("20200310", '"x"'),
+    ])
+    def test_label_and_date_are_read_by_type_and_form(self, tmp_path, date_, label):
+        path = tmp_path / "events.json"
+        path.write_text(f'[{{"date": "2020-03-09", "label": "ok"}}, '
+                        f'{{"date": {date_}, "label": {label}}}]', encoding="utf-8")
         with pytest.raises(InputError, match="bad event at index 1"):
             load_events(path)
 
@@ -656,3 +677,13 @@ class TestBucketText:
     def test_garbage(self):
         with pytest.raises(InputError, match="unparseable bucket 'ooit'"):
             parse_bucket("ooit")
+
+    # forms that fromisoformat takes from Python 3.11 on, refused on every interpreter
+    @pytest.mark.parametrize("text", ["20200309", "2020-W11-1", "2020-03-09T1500+0100",
+                                      "2020-03-09T15:00:00.5+01:00", "2020-03-09T15:00Z"])
+    def test_only_the_python_3_10_forms(self, text):
+        with pytest.raises(InputError, match="unparseable bucket"):
+            parse_bucket(text)
+
+    def test_any_one_character_separates_date_and_hour(self):
+        assert parse_bucket("2020-03-09 15") == datetime(2020, 3, 9, 15, tzinfo=UTC)
