@@ -84,7 +84,7 @@ class PolarityScore:
 
 
 def load_lexicon(path) -> PolarityLexicon:
-    """Load a TSV lexicon (term<TAB>score, UTF-8, # comments).
+    """Load a TSV lexicon (term<TAB>score, UTF-8, tab-free # comments).
 
     Word terms are lowercased, emoji terms kept verbatim. A score outside
     [-1, 1], or a duplicate, empty or whitespace-padded term, fails with its line number.
@@ -95,7 +95,8 @@ def load_lexicon(path) -> PolarityLexicon:
     with input_lines(path, "lexicon") as lines:
         for line in lines:
             line = line.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            # a comment holds no tab, so a hashtag term such as "#lockdown<TAB>-0.4" loads
+            if not line.strip() or (line.lstrip().startswith("#") and "\t" not in line):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:

@@ -36,13 +36,11 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 2
 
-# initial_rows fills this many rows at a time, so its temporaries stay small
-INIT_BLOCK_ROWS = 1024
-# train and predict featurize words this many at a time, for the same reason
+# bytes of each (rows, dim) temporary of initial_rows and predict, whatever the dim: runs of
+# max(1, BLOCK_BYTES // (8 * dim)) rows, and a word or text with more rows is a run of its own
+BLOCK_BYTES = 1 << 17
+# train and predict featurize words this many at a time, so their temporaries stay small
 FEATURIZE_BLOCK_WORDS = 256
-# predict sums the feature vectors of at most this many rows at a time, cut
-# between words; a word with more rows is summed in a block of its own
-RESOLVE_BLOCK_ROWS = 2048
 # distinct words whose feature sums a model keeps for predict; emptied when full
 PREDICT_CACHE_WORDS = 1 << 15
 # bytes per block of predict's word sums; numpy advises huge pages from 4 MiB on
@@ -153,10 +151,10 @@ def initial_rows(seed: int, rows, dim: int) -> np.ndarray:
     row_stride = dim * SPLITMIX_GAMMA & UINT64_MASK
     col_states = np.arange(1, dim + 1, dtype=np.uint64) * SPLITMIX_GAMMA
     col_states += seed & UINT64_MASK
-    for start in range(0, rows.size, INIT_BLOCK_ROWS):
-        states = rows[start : start + INIT_BLOCK_ROWS, None] * row_stride + col_states
+    for start in range(0, rows.size, step := max(1, BLOCK_BYTES // (8 * dim))):
+        states = rows[start : start + step, None] * row_stride + col_states
         # the top 24 bits k of each hash; k < 2**24 converts to float32 exactly
-        out[start : start + INIT_BLOCK_ROWS] = _splitmix64(states) >> 40
+        out[start : start + step] = _splitmix64(states) >> 40
     # 2 * k / 2**24 - 1 is exact and uniform over [-1, 1); / dim rounds once
     out *= 2.0**-23
     out -= 1
@@ -305,8 +303,8 @@ class _SumTable:
         return out
 
 
-def _runs(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
-    """Items of ``counts`` rows each in runs of up to RESOLVE_BLOCK_ROWS rows, cut between items.
+def _runs(counts: np.ndarray, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Items of ``counts`` rows each in runs of up to ``cap`` rows, cut between items.
 
     Yields a run's items that have rows (reduceat's segments), their starts in it, its row range.
     """
@@ -316,7 +314,7 @@ def _runs(counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, int, int
     lo = 0
     while lo < nonempty.size:
         # the items whose rows end within the cap, and at least one item
-        hi = max(int(np.searchsorted(stops, starts[lo] + RESOLVE_BLOCK_ROWS, "right")), lo + 1)
+        hi = max(int(np.searchsorted(stops, starts[lo] + cap, "right")), lo + 1)
         yield nonempty[lo:hi], starts[lo:hi] - starts[lo], int(starts[lo]), int(stops[hi - 1])
         lo = hi
 
@@ -337,7 +335,7 @@ def _resolve_words(model: StanceModel, words: list[str], table: _SumTable) -> No
         flat, counts = featurize(words[done : done + len(sums)], model.word_ids, model.hyperparams)
         table.counts[first + done : first + done + counts.size] = counts
         sums[:] = 0  # a word shorter than char_ngram_min and outside the vocabulary has no features
-        for at, starts, lo, hi in _runs(counts):
+        for at, starts, lo, hi in _runs(counts, max(1, BLOCK_BYTES // (8 * model.hyperparams.dim))):
             vectors = _row_vectors(model, flat[lo:hi])
             sums[at] = np.add.reduceat(vectors, starts, axis=0, dtype=np.float64)
         done += counts.size
@@ -372,8 +370,9 @@ def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, n
     slots = np.fromiter(map(table.slots.__getitem__, words), np.int64, len(words))
     logits = np.empty((len(texts), len(model.labels)))
     logits[:] = model.b  # a text with no features keeps the bias scores
-    # each text's word sums are added in order, in runs of RESOLVE_BLOCK_ROWS words
-    for at, starts, lo, hi in _runs(np.fromiter(map(len, tokenized), np.int64, len(texts))):
+    # each text's word sums are added in order, in runs of BLOCK_BYTES of word sums
+    lengths = np.fromiter(map(len, tokenized), np.int64, len(texts))
+    for at, starts, lo, hi in _runs(lengths, max(1, BLOCK_BYTES // (8 * model.hyperparams.dim))):
         sums = np.add.reduceat(table.rows(slots[lo:hi]), starts, axis=0)
         counts = np.add.reduceat(table.counts[slots[lo:hi]], starts)
         live = counts > 0

@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 # hourly points); a wider one comes from a stray timestamp, not from a study
 MAX_FILLED_SPAN = timedelta(days=10_000)
 
-_OFFSET_RE = re.compile(r"^([+-])(\d{2}):?(\d{2})?$")
+_OFFSET_RE = re.compile(r"([+-])(\d{2})(?::?(\d{2}))?", re.ASCII)
 
 
 def parse_tz_offset(text: str) -> timezone:
@@ -36,7 +36,7 @@ def parse_tz_offset(text: str) -> timezone:
     text = text.strip()
     if text in ("Z", "z", "+00:00", "-00:00"):
         return timezone.utc
-    match = _OFFSET_RE.match(text)
+    match = _OFFSET_RE.fullmatch(text)
     if not match:
         raise InputError(f"bad timezone offset {text!r}, expected +HH:MM")
     sign = 1 if match.group(1) == "+" else -1

@@ -53,6 +53,13 @@ class TestLoadLexicon:
         lex = load_lexicon(tiny(tmp_path, "# kop\n\ngoed\t0.6\n"))
         assert len(lex.words) + len(lex.emoji) == 1
 
+    def test_hashtag_term_is_not_a_comment(self, tmp_path):
+        # a comment is a line starting with "#" that holds no tab
+        lex = load_lexicon(tiny(tmp_path, "#lockdown\t-0.4\n# kop\ngoed\t0.6\n"))
+        assert lex.words == {"#lockdown": -0.4, "goed": 0.6}
+        result = score(lex, "Weer een #lockdown, goed zo")
+        assert (result.hits, result.value) == (2, pytest.approx(0.1))
+
     def test_score_out_of_range(self, tmp_path):
         with pytest.raises(InputError, match=r"score out of range, line 1"):
             load_lexicon(tiny(tmp_path, "x\t1.5\n"))

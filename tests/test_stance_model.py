@@ -197,7 +197,7 @@ class TestInitialRows:
         assert np.array_equal(initial_rows(5, rows[::-1], 12), together[::-1])
 
     def test_row_vector_independent_of_block(self, monkeypatch):
-        monkeypatch.setattr(model_module, "INIT_BLOCK_ROWS", 16)
+        monkeypatch.setattr(model_module, "BLOCK_BYTES", 8 * 4 * 16)  # 16 rows at dim 4
         many = initial_rows(5, np.arange(3 * 16 + 5), 4)
         for row in (0, 15, 16, 17, len(many) - 1):
             assert np.array_equal(initial_rows(5, [row], 4)[0], many[row])
@@ -477,7 +477,7 @@ class TestResolveBlocks:
         """(sum, count) of each word, from a table filled under the caps, and predict_batch's."""
         dim = model.hyperparams.dim
         distinct = list(dict.fromkeys(words))
-        with patch.multiple(model_module, RESOLVE_BLOCK_ROWS=rows_cap,
+        with patch.multiple(model_module, BLOCK_BYTES=8 * dim * rows_cap,
                             FEATURIZE_BLOCK_WORDS=words_cap, SUM_BLOCK_BYTES=8 * dim * table_rows):
             table = model_module._SumTable(len(distinct), dim)
             model_module._resolve_words(model, distinct, table)
@@ -531,6 +531,34 @@ class TestResolveBlocks:
                     assert label == want_label
                     assert np.array_equal(probs, want_probs)
 
+    @pytest.mark.parametrize("block_bytes", [8 * BLOCK_HP.dim, model_module.BLOCK_BYTES, 10**9],
+                             ids=["one-row", "default", "unbounded"])
+    @settings(max_examples=40, deadline=None)
+    @given(texts=st.lists(st.lists(RESOLVE_WORDS, min_size=1, max_size=8).map(" ".join),
+                          max_size=12),
+           cut=st.integers(0, 12), batch=st.sampled_from([1, 3, 64]),
+           cache_words=st.sampled_from([2, 5, 1 << 15]), table_rows=st.sampled_from([1, 2, 10**6]),
+           stored=st.booleans())
+    # the whole list empties the cache at its third batch, the second part never does
+    @example(texts=[f"woord{i} woord{i + 1}" for i in range(8)], cut=4, batch=2, cache_words=5,
+             table_rows=2, stored=True)
+    def test_label_corpus_splits(self, block_models, block_bytes, texts, cut, batch,
+                                 cache_words, table_rows, stored):
+        # labelling a list equals labelling its two parts in order, each on a fresh model,
+        # across batches, cache resets and sum-table blocks
+        model = block_models[stored]
+        msgs = [make_message(text, i) for i, text in enumerate(texts)]
+        with patch.multiple(model_module, BLOCK_BYTES=block_bytes, PREDICT_BATCH=batch,
+                            PREDICT_CACHE_WORDS=cache_words,
+                            SUM_BLOCK_BYTES=8 * BLOCK_HP.dim * table_rows):
+            whole = list(label_corpus(replace(model), msgs))
+            parts = [*label_corpus(replace(model), msgs[:cut]),
+                     *label_corpus(replace(model), msgs[cut:])]
+        assert len(whole) == len(parts) == len(msgs)
+        for (msg, label, probs), (part_msg, part_label, part_probs) in zip(whole, parts):
+            assert (msg, label) == (part_msg, part_label)
+            assert np.array_equal(probs, part_probs)
+
     def test_cache_allocates_per_word(self, monkeypatch):
         hp = Hyperparams(dim=50, epochs=1, seed=1)
         model = train(two_class_examples(20), hp)
@@ -567,8 +595,29 @@ class TestResolveBlocks:
         finally:
             tracemalloc.stop()
         assert len(labeled) == len(msgs)
-        # measured 16.8 MiB, 10 MiB of it the batch's 25,600 sums; 3.2 MiB of margin
+        # measured 15.4 MiB, 10 MiB of it the batch's 25,600 sums; 4.6 MiB of margin
         assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("dim", [10, 50, 200])
+    def test_label_corpus_transient_memory_is_per_block(self, dim):
+        # 128 texts of 40 six-letter words, 3,000 of them distinct: two batches of
+        # 2,560 word occurrences, most of them new to the word cache
+        model = train(two_class_examples(20), Hyperparams(dim=dim, epochs=1, seed=1))
+        words = ["".join(chr(97 + i // 26**k % 26) for k in range(6)) for i in range(3000)]
+        msgs = [make_message(" ".join(words[(t * 40 + j) * 7 % 3000] for j in range(40)), t)
+                for t in range(128)]
+        tracemalloc.start()
+        try:
+            labeled = sum(1 for _ in label_corpus(model, msgs))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labeled == len(msgs)
+        # what outlives the run is the word cache; the rest was transient. Measured 5.3 to
+        # 5.5 times the 128 KiB of BLOCK_BYTES at each dim, against 17 and 62 times at dims 50
+        # and 200 with caps of 1,024 and 2,048 rows, and 10 to 158 times with BLOCK_BYTES = 10**9
+        blocks = (peak - current) / 2**17
+        assert blocks < 8, f"transient peak {blocks:.1f} times 128 KiB"
 
     def test_featurization_state_is_freed_before_sgd(self, monkeypatch):
         # 600 examples of 50 random 8-letter words: a vocabulary of about 30,000 words

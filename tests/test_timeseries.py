@@ -68,7 +68,8 @@ class TestParseTzOffset:
         assert parse_tz_offset("Z") is UTC
         assert parse_tz_offset("+00:00") is UTC
 
-    @pytest.mark.parametrize("text", ["01:00", "+1:00", "+25:00", "+01:75", "gisteren"])
+    @pytest.mark.parametrize("text", ["01:00", "+1:00", "+25:00", "+01:75", "gisteren", "+01:",
+                                      "+\u0660\u0661:\u0660\u0660"])
     def test_rejected_forms(self, text):
         with pytest.raises(InputError, match="bad timezone offset"):
             parse_tz_offset(text)
