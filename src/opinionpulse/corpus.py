@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring as _quote  # json.dumps' escaper, ensure_ascii=False
@@ -31,6 +32,8 @@ PLATFORMS = ("twitter", "nunl", "reddit")
 
 _TSV_COLUMNS = ("id", "created_at", "text", "lang", "platform")
 _scan_once = json.JSONDecoder().scan_once  # json.loads without its whitespace and end checks
+# a timestamp as write_jsonl writes it, which fromisoformat takes on every Python
+_WRITTEN_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 
 # rejected lines an ingest pass warns about one by one; the rest get one summary line
 REJECT_WARNINGS = 20
@@ -47,6 +50,8 @@ def parse_timestamp(value) -> datetime:
     if isinstance(value, bool):
         raise ValueError(f"bad timestamp: {value!r}")
     try:
+        if isinstance(value, str) and _WRITTEN_TIMESTAMP.fullmatch(value):
+            return datetime.fromisoformat(value[:19] + "+00:00")  # tzinfo is timezone.utc
         if isinstance(value, (int, float)):
             return datetime.fromtimestamp(int(value), tz=timezone.utc)
         if isinstance(value, str):

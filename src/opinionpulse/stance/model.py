@@ -41,10 +41,8 @@ MODEL_FORMAT_VERSION = 2
 BLOCK_BYTES = 1 << 17
 # train and predict featurize words this many at a time, so their temporaries stay small
 FEATURIZE_BLOCK_WORDS = 256
-# distinct words whose feature sums a model keeps for predict; emptied when full
+# distinct words whose class scores a model keeps for predict; emptied when full
 PREDICT_CACHE_WORDS = 1 << 15
-# bytes per block of predict's word sums; numpy advises huge pages from 4 MiB on
-SUM_BLOCK_BYTES = 1 << 21
 # messages label_corpus reads ahead and labels with one predict_batch call
 PREDICT_BATCH = 64
 
@@ -125,7 +123,7 @@ class StanceModel:
 
     def __post_init__(self):
         self.word_ids = {word: i for i, word in enumerate(self.vocab)}
-        self._word_cache = _SumTable(0, self.hyperparams.dim)  # predict_batch sizes it
+        self._word_cache = _ScoreTable(0, len(self.labels))  # predict_batch sizes it
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -272,35 +270,14 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     return model
 
 
-def _row_vectors(model: StanceModel, rows: np.ndarray) -> np.ndarray:
-    """float32 vectors of embedding ``rows``: stored ones from ``E``, any other its initial one."""
-    hp = model.hyperparams
-    if not model.rows.size:
-        return initial_rows(hp.seed, rows, hp.dim)
-    at = np.searchsorted(model.rows, rows)
-    fresh = model.rows.take(at, mode="clip") != rows
-    vectors = model.E.take(at, axis=0, mode="clip")
-    vectors[fresh] = initial_rows(hp.seed, rows[fresh], hp.dim)
-    return vectors
+class _ScoreTable:
+    """Each word's float64 class scores ``W @ s``, ``s`` the sum of its feature vectors, and
+    its int64 feature count, by slot."""
 
-
-class _SumTable:
-    """Float64 feature sums, in row blocks allocated as slots fill, and int64 counts of words."""
-
-    def __init__(self, capacity: int, dim: int):
+    def __init__(self, capacity: int, n_labels: int):
         self.slots: dict[str, int] = {}
+        self.scores = np.empty((capacity, n_labels))
         self.counts = np.empty(capacity, dtype=np.int64)
-        self.blocks: list[np.ndarray] = []
-        self.block_rows = max(1, min(capacity, SUM_BLOCK_BYTES // (8 * dim)))
-
-    def rows(self, slots: np.ndarray) -> np.ndarray:
-        """The sums of ``slots``, in that order, as one matrix."""
-        block, row = np.divmod(slots, self.block_rows)
-        out = np.empty((slots.size, self.blocks[0].shape[1]))
-        for k, sums in enumerate(self.blocks):  # np.unique would import numpy.ma
-            at = block == k
-            out[at] = sums[row[at]]
-        return out
 
 
 def _runs(counts: np.ndarray, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray, int, int]]:
@@ -319,26 +296,32 @@ def _runs(counts: np.ndarray, cap: int) -> Iterator[tuple[np.ndarray, np.ndarray
         lo = hi
 
 
-def _resolve_words(model: StanceModel, words: list[str], table: _SumTable) -> None:
-    """Give distinct new ``words`` slots in ``table``, with their feature counts and sums.
+def _resolve_words(model: StanceModel, words: list[str], table: _ScoreTable) -> None:
+    """Give distinct new ``words`` slots in ``table``, with their feature counts and scores.
 
-    Words are featurized FEATURIZE_BLOCK_WORDS at a time, cut where a table block ends, and
-    summed straight into their slots; a word's rows add in featurize order whatever the cuts.
+    Words are featurized FEATURIZE_BLOCK_WORDS at a time. A word's float32 vectors, stored
+    in ``E`` or initial, add in featurize order into a float64 sum, whatever the cuts, and
+    its scores are that sum's row-wise multiply-sum with ``W``, so they do not depend on the
+    words resolved with it (a matrix product may round a row differently in another batch).
     """
-    first, done = len(table.slots), 0
+    hp, first = model.hyperparams, len(table.slots)
     table.slots.update(zip(words, range(first, first + len(words))))
-    while done < len(words):
-        block, row = divmod(first + done, table.block_rows)
-        if block == len(table.blocks):
-            table.blocks.append(np.empty((table.block_rows, model.hyperparams.dim)))
-        sums = table.blocks[block][row : row + min(FEATURIZE_BLOCK_WORDS, len(words) - done)]
-        flat, counts = featurize(words[done : done + len(sums)], model.word_ids, model.hyperparams)
+    for done in range(0, len(words), FEATURIZE_BLOCK_WORDS):
+        flat, counts = featurize(words[done : done + FEATURIZE_BLOCK_WORDS], model.word_ids, hp)
         table.counts[first + done : first + done + counts.size] = counts
-        sums[:] = 0  # a word shorter than char_ngram_min and outside the vocabulary has no features
-        for at, starts, lo, hi in _runs(counts, max(1, BLOCK_BYTES // (8 * model.hyperparams.dim))):
-            vectors = _row_vectors(model, flat[lo:hi])
-            sums[at] = np.add.reduceat(vectors, starts, axis=0, dtype=np.float64)
-        done += counts.size
+        scores = table.scores[first + done : first + done + counts.size]
+        scores[:] = 0  # a word shorter than char_ngram_min and outside the vocabulary: no features
+        # each row's index in E, and whether E stores it; any other row keeps its initial vector
+        at = np.searchsorted(model.rows, flat)
+        stored = at < model.rows.size
+        stored[stored] = model.rows[at[stored]] == flat[stored]
+        for words_at, starts, lo, hi in _runs(counts, max(1, BLOCK_BYTES // (8 * hp.dim))):
+            vectors = np.empty((hi - lo, hp.dim), dtype=np.float32)
+            hit = stored[lo:hi]
+            vectors[hit] = model.E[at[lo:hi][hit]]
+            vectors[~hit] = initial_rows(hp.seed, flat[lo:hi][~hit], hp.dim)
+            sums = np.add.reduceat(vectors, starts, axis=0, dtype=np.float64)
+            scores[words_at] = (sums[:, None, :] * model.W).sum(axis=2)
 
 
 def predict(model: StanceModel, text: str) -> tuple[str, np.ndarray]:
@@ -354,8 +337,9 @@ def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, n
 
     New words are resolved into the model's word cache, which holds at most
     PREDICT_CACHE_WORDS words and is emptied when they would not fit (a batch with more
-    gets a table of its own). Each text's logits (a row-wise multiply-sum) and softmax
-    come from its own row alone, so its probabilities do not depend on the batch.
+    gets a table of its own). A text's logits add its words' scores in order, divide by its
+    feature count and add ``b``; they and the softmax come from the text's own words alone,
+    so its probabilities do not depend on the batch or on what the cache held before.
     """
     tokenized = [tokenize(text) for text in texts]
     words = list(chain.from_iterable(tokenized))
@@ -363,21 +347,19 @@ def predict_batch(model: StanceModel, texts: Sequence[str]) -> list[tuple[str, n
     missing = [word for word in distinct if word not in table.slots]
     if len(table.slots) + len(missing) > table.counts.size:
         missing = list(distinct)  # emptied, so every word is new
-        table = model._word_cache = _SumTable(PREDICT_CACHE_WORDS, model.hyperparams.dim)
+        table = model._word_cache = _ScoreTable(PREDICT_CACHE_WORDS, len(model.labels))
         if len(missing) > PREDICT_CACHE_WORDS:
-            table = _SumTable(len(missing), model.hyperparams.dim)
+            table = _ScoreTable(len(missing), len(model.labels))
     _resolve_words(model, missing, table)
     slots = np.fromiter(map(table.slots.__getitem__, words), np.int64, len(words))
     logits = np.empty((len(texts), len(model.labels)))
     logits[:] = model.b  # a text with no features keeps the bias scores
-    # each text's word sums are added in order, in runs of BLOCK_BYTES of word sums
     lengths = np.fromiter(map(len, tokenized), np.int64, len(texts))
-    for at, starts, lo, hi in _runs(lengths, max(1, BLOCK_BYTES // (8 * model.hyperparams.dim))):
-        sums = np.add.reduceat(table.rows(slots[lo:hi]), starts, axis=0)
-        counts = np.add.reduceat(table.counts[slots[lo:hi]], starts)
+    for at, starts, _, _ in _runs(lengths, len(words)):  # one run, every text with words
+        scores = np.add.reduceat(table.scores[slots], starts, axis=0)
+        counts = np.add.reduceat(table.counts[slots], starts)
         live = counts > 0
-        H = sums[live] / counts[live, None]
-        logits[at[live]] = (H[:, None, :] * model.W).sum(axis=2) + model.b
+        logits[at[live]] = scores[live] / counts[live, None] + model.b
     # each row's softmax on its own, through its log, all rows in one step
     shifted = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))

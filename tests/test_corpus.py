@@ -757,6 +757,25 @@ class TestIngestReference:
         assert [fields(m) for m in msgs] == [fields(m) for m in expected]
         assert warnings == expected_warnings
 
+    @pytest.mark.parametrize("value", [
+        *ODD_TIMESTAMPS,  # 2020-02-30T10:00:00Z and Arabic-Indic digits among them
+        # more of the written form out of range, and fullwidth digits in its shape
+        "2020-13-01T00:00:00Z", "2020-03-12T24:00:00Z", "0000-01-01T00:00:00Z",
+        "\uff12\uff10\uff12\uff10-03-12T15:00:00Z",
+    ])
+    def test_written_form_matches_general_path(self, value):
+        # parse_timestamp's fast path for YYYY-MM-DDTHH:MM:SSZ accepts and refuses as the
+        # general path does, with the same message and the same timezone.utc result
+        try:
+            expected = reference_parse_timestamp(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_timestamp(value)
+            assert str(raised.value) == str(exc)
+        else:
+            got = parse_timestamp(value)
+            assert got == expected and got.tzinfo is timezone.utc
+
     @settings(max_examples=300)
     @given(value=st.one_of(TIMESTAMPS, st.text(max_size=25)))
     def test_parse_timestamp_matches_general_path(self, value):

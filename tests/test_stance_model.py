@@ -473,60 +473,62 @@ class TestResolveBlocks:
     """_resolve_words and the word cache give the same bits whatever their block caps."""
 
     @staticmethod
-    def resolve(model, words, rows_cap, words_cap, table_rows=10**6):
-        """(sum, count) of each word, from a table filled under the caps, and predict_batch's."""
-        dim = model.hyperparams.dim
+    def resolve(model, words, rows_cap, words_cap):
+        """(scores, count) of each word, from a table filled under the caps, and predict_batch's."""
         distinct = list(dict.fromkeys(words))
-        with patch.multiple(model_module, BLOCK_BYTES=8 * dim * rows_cap,
-                            FEATURIZE_BLOCK_WORDS=words_cap, SUM_BLOCK_BYTES=8 * dim * table_rows):
-            table = model_module._SumTable(len(distinct), dim)
+        with patch.multiple(model_module, BLOCK_BYTES=8 * model.hyperparams.dim * rows_cap,
+                            FEATURIZE_BLOCK_WORDS=words_cap):
+            table = model_module._ScoreTable(len(distinct), len(model.labels))
             model_module._resolve_words(model, distinct, table)
-            model._word_cache = model_module._SumTable(0, dim)
+            model._word_cache = model_module._ScoreTable(0, len(model.labels))
             probs = predict_batch(model, [" ".join(words[i::3]) for i in range(3)])
         slots = np.array([table.slots[word] for word in words], dtype=np.int64)
-        sums = table.rows(slots) if words else []
-        return list(zip(sums, table.counts[slots].tolist())), probs
+        return list(zip(table.scores[slots], table.counts[slots].tolist())), probs
 
     @settings(max_examples=80, deadline=None)
     @given(words=st.lists(RESOLVE_WORDS, max_size=40), cap=st.sampled_from([1, 2, 7]),
-           words_cap=st.sampled_from([1, 3, 256]), table_rows=st.sampled_from([1, 2, 5]),
-           stored=st.booleans())
+           words_cap=st.sampled_from([1, 3, 256]), stored=st.booleans())
     @example(words=[LONG_WORD, "a", "zz", LONG_WORD, "ééé", "xy", "😀ß"], cap=7, words_cap=3,
-             table_rows=2, stored=True)
-    @example(words=FEATURELESS, cap=1, words_cap=2, table_rows=1, stored=False)
-    def test_blocks_match_one_block(self, block_models, words, cap, words_cap, table_rows,
-                                    stored):
+             stored=True)
+    @example(words=FEATURELESS, cap=1, words_cap=2, stored=False)
+    def test_blocks_match_one_block(self, block_models, words, cap, words_cap, stored):
         model = block_models[stored]
-        sums, probs = self.resolve(model, words, cap, words_cap, table_rows)
-        one_sums, one_probs = self.resolve(model, words, 10**9, 10**9)
-        assert [count for _, count in sums] == [count for _, count in one_sums]
-        for (got, _), (want, _) in zip(sums, one_sums, strict=True):
+        scores, probs = self.resolve(model, words, cap, words_cap)
+        one_scores, one_probs = self.resolve(model, words, 10**9, 10**9)
+        assert [count for _, count in scores] == [count for _, count in one_scores]
+        for (got, _), (want, _) in zip(scores, one_scores, strict=True):
             assert np.array_equal(got, want)
         for (label, got), (one_label, want) in zip(probs, one_probs, strict=True):
             assert label == one_label
             assert np.array_equal(got, want)
 
     def test_featureless_and_oversized_words(self, block_models):
-        sums, _ = self.resolve(block_models[True], [*FEATURELESS, "zz", LONG_WORD], 2, 256)
-        assert [count for _, count in sums] == [0, 0, 0, 0, 1, 36]
-        assert not any(vector.any() for vector, _ in sums[:4])
+        scores, _ = self.resolve(block_models[True], [*FEATURELESS, "zz", LONG_WORD], 2, 256)
+        assert [count for _, count in scores] == [0, 0, 0, 0, 1, 36]
+        assert not any(vector.any() for vector, _ in scores[:4])
 
     @settings(max_examples=60, deadline=None)
     @given(batches=st.lists(st.lists(st.lists(RESOLVE_WORDS, max_size=8).map(" ".join),
                                      min_size=1, max_size=4), min_size=1, max_size=6),
-           cap=st.integers(1, 6), table_rows=st.sampled_from([1, 2, 10**6]))
+           cap=st.integers(1, 6))
     @example(batches=[["zz aaaa", "steun"], [" ".join(f"woord{i}" for i in range(9))],
-                      ["aaaa zz onzin", LONG_WORD]], cap=4, table_rows=2)
-    def test_refilled_cache_matches_fresh_model(self, block_models, batches, cap, table_rows):
+                      ["aaaa zz onzin", LONG_WORD]], cap=4)
+    def test_refilled_cache_matches_fresh_model(self, block_models, batches, cap):
         # a batch with more new words than the cap is labelled without caching them
         model = block_models[True]
         fresh = [predict_batch(replace(model), texts) for texts in batches]
+        words = list(dict.fromkeys(chain.from_iterable(map(tokenize, chain(*batches)))))
+        one, _ = self.resolve(replace(model), words, 10**9, 10**9)
         cached = replace(model)
-        with patch.multiple(model_module, PREDICT_CACHE_WORDS=cap,
-                            SUM_BLOCK_BYTES=8 * BLOCK_HP.dim * table_rows):
+        with patch.object(model_module, "PREDICT_CACHE_WORDS", cap):
             for texts, want in zip(batches, fresh):
                 got = predict_batch(cached, texts)
-                assert len(cached._word_cache.slots) <= cap
+                cache = cached._word_cache
+                assert len(cache.slots) <= cap
+                for word, slot in cache.slots.items():
+                    want_scores, want_count = one[words.index(word)]
+                    assert np.array_equal(cache.scores[slot], want_scores)
+                    assert cache.counts[slot] == want_count
                 for (label, probs), (want_label, want_probs) in zip(got, want, strict=True):
                     assert label == want_label
                     assert np.array_equal(probs, want_probs)
@@ -537,20 +539,18 @@ class TestResolveBlocks:
     @given(texts=st.lists(st.lists(RESOLVE_WORDS, min_size=1, max_size=8).map(" ".join),
                           max_size=12),
            cut=st.integers(0, 12), batch=st.sampled_from([1, 3, 64]),
-           cache_words=st.sampled_from([2, 5, 1 << 15]), table_rows=st.sampled_from([1, 2, 10**6]),
-           stored=st.booleans())
+           cache_words=st.sampled_from([2, 5, 1 << 15]), stored=st.booleans())
     # the whole list empties the cache at its third batch, the second part never does
     @example(texts=[f"woord{i} woord{i + 1}" for i in range(8)], cut=4, batch=2, cache_words=5,
-             table_rows=2, stored=True)
+             stored=True)
     def test_label_corpus_splits(self, block_models, block_bytes, texts, cut, batch,
-                                 cache_words, table_rows, stored):
+                                 cache_words, stored):
         # labelling a list equals labelling its two parts in order, each on a fresh model,
-        # across batches, cache resets and sum-table blocks
+        # across batches and cache resets
         model = block_models[stored]
         msgs = [make_message(text, i) for i, text in enumerate(texts)]
         with patch.multiple(model_module, BLOCK_BYTES=block_bytes, PREDICT_BATCH=batch,
-                            PREDICT_CACHE_WORDS=cache_words,
-                            SUM_BLOCK_BYTES=8 * BLOCK_HP.dim * table_rows):
+                            PREDICT_CACHE_WORDS=cache_words):
             whole = list(label_corpus(replace(model), msgs))
             parts = [*label_corpus(replace(model), msgs[:cut]),
                      *label_corpus(replace(model), msgs[cut:])]
@@ -559,28 +559,42 @@ class TestResolveBlocks:
             assert (msg, label) == (part_msg, part_label)
             assert np.array_equal(probs, part_probs)
 
-    def test_cache_allocates_per_word(self, monkeypatch):
-        hp = Hyperparams(dim=50, epochs=1, seed=1)
-        model = train(two_class_examples(20), hp)
-        block_rows = 10
-        monkeypatch.setattr(model_module, "SUM_BLOCK_BYTES", 8 * hp.dim * block_rows)
-        words = [f"woord{i}" for i in range(3 * block_rows + 7)]
-        seen = 0
-        for n in (1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows, len(words)):
-            predict_batch(model, [" ".join(words[seen:n])])
-            seen = n
-            cache = model._word_cache
-            assert len(cache.slots) == n
-            allocated = sum(block.nbytes for block in cache.blocks)
-            assert allocated <= 8 * hp.dim * (n + block_rows), (n, allocated)
-            assert cache.counts.nbytes == 8 * model_module.PREDICT_CACHE_WORDS
+    def test_cache_allocates_per_word(self):
+        # one float64 score per label and one int64 count per slot, at every dim; 0.75 MiB of
+        # scores at full capacity, below the 4 MiB from which numpy advises huge pages
+        for dim in (10, 200):
+            model = train(two_class_examples(20), Hyperparams(dim=dim, epochs=1, seed=1))
+            words = [f"woord{i}" for i in range(37)]
+            for n in (1, 10, len(words)):
+                predict_batch(model, [" ".join(words[:n])])
+                cache = model._word_cache
+                assert len(cache.slots) == n
+                assert cache.scores.shape == (model_module.PREDICT_CACHE_WORDS, len(LABELS))
+                assert cache.counts.shape == (model_module.PREDICT_CACHE_WORDS,)
+        assert cache.scores.nbytes < 4 * 2**20
 
-    def test_cache_block_stays_below_huge_pages(self):
-        # numpy advises huge pages for an array of 4 MiB or more
-        model = train(two_class_examples(20), Hyperparams(dim=50, epochs=1, bucket=1000, seed=1))
-        predict_batch(model, ["woord"])
-        blocks = model._word_cache.blocks
-        assert len(blocks) == 1 and blocks[0].nbytes < 4 * 2**20, [b.nbytes for b in blocks]
+    def test_full_cache_costs_the_same_per_word_at_every_dim(self, monkeypatch):
+        # 2,048 distinct six-letter words in one batch of 64 texts fill a 2,048-word cache
+        monkeypatch.setattr(model_module, "PREDICT_CACHE_WORDS", 2048)
+        words = ["".join(chr(97 + i // 26**k % 26) for k in range(6)) for i in range(2048)]
+        msgs = [make_message(" ".join(words[i : i + 32]), i) for i in range(0, len(words), 32)]
+        per_word = {}
+        for dim in (10, 50, 200):
+            model = train(two_class_examples(20), Hyperparams(dim=dim, epochs=1, seed=1))
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                labeled = sum(1 for _ in label_corpus(model, msgs))
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert labeled == len(msgs) and len(model._word_cache.slots) == len(words)
+            per_word[dim] = (after - before) / len(words)
+        # measured 141.6 to 144.3 bytes at each dim, the spread one-time allocations: 24 of
+        # scores, 8 of count, the rest the word, its slot number and its dict entry. A float64
+        # feature sum per word would add 8 x dim, 1,520 bytes more at dim 200 than at dim 10
+        assert max(per_word.values()) - min(per_word.values()) < 8, per_word
+        assert per_word[50] < 8 * len(LABELS) + 8 + 160, per_word
 
     def test_label_corpus_memory_is_per_block(self, monkeypatch):
         # 64 texts of 400 distinct 8-letter words: 25,600 new words of 26 rows each
@@ -595,7 +609,7 @@ class TestResolveBlocks:
         finally:
             tracemalloc.stop()
         assert len(labeled) == len(msgs)
-        # measured 15.4 MiB, 10 MiB of it the batch's 25,600 sums; 4.6 MiB of margin
+        # measured 6.2 MiB with class scores per word, 15.4 MiB with a float64 sum per word
         assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("dim", [10, 50, 200])
@@ -613,9 +627,9 @@ class TestResolveBlocks:
         finally:
             tracemalloc.stop()
         assert labeled == len(msgs)
-        # what outlives the run is the word cache; the rest was transient. Measured 5.3 to
-        # 5.5 times the 128 KiB of BLOCK_BYTES at each dim, against 17 and 62 times at dims 50
-        # and 200 with caps of 1,024 and 2,048 rows, and 10 to 158 times with BLOCK_BYTES = 10**9
+        # what outlives the run is the word cache; the rest was transient. Measured 5.1 to
+        # 5.3 times the 128 KiB of BLOCK_BYTES at each dim, against 17 and 62 times at dims 50
+        # and 200 with caps of 1,024 and 2,048 rows, and 10 to 149 times with BLOCK_BYTES = 10**9
         blocks = (peak - current) / 2**17
         assert blocks < 8, f"transient peak {blocks:.1f} times 128 KiB"
 
@@ -691,6 +705,27 @@ class TestPredict:
             assert np.array_equal(probs, alone_probs)
             if not tokenize(text):
                 assert np.array_equal(probs, from_biases)
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.lists(st.one_of(RESOLVE_WORDS, st.sampled_from(["aaa", "ddd"])),
+                                   max_size=8).map(" ".join), max_size=12),
+           which=st.sampled_from(["trained", "stored", "bare"]))
+    def test_matches_float64_dense_mean(self, trained, block_models, texts, which):
+        # the reference: every row of a dense table in float64, and W times the text's mean row
+        model = trained if which == "trained" else block_models[which == "stored"]
+        hp = model.hyperparams
+        dense = initial_rows(hp.seed, np.arange(len(model.vocab) + hp.bucket), hp.dim)
+        dense = dense.astype(np.float64)
+        dense[model.rows] = model.E
+        for text, (label, probs) in zip(texts, predict_batch(replace(model), texts), strict=True):
+            features = [row for rows in word_rows(tokenize(text), model.vocab, hp) for row in rows]
+            z = model.b.astype(np.float64)
+            if features:
+                z = z + model.W.astype(np.float64) @ dense[features].mean(axis=0)
+            assert np.allclose(probs, softmax(z), rtol=0, atol=1e-12)
+            second, top = np.sort(z)[-2:]
+            if top - second > 1e-9:
+                assert label == model.labels[int(np.argmax(z))]
 
     @settings(max_examples=50)
     @given(st.text(max_size=40))
