@@ -15,9 +15,12 @@ opinionpulse grid-search \
     --dims 10,50,200 --epochs 10,50,200 --lrs 0.1,0.2,0.5 \
     --seed 42 --out "$outdir/grid_report.json" --log
 
-dim=$(python3 -c "import json;print(json.load(open('$outdir/grid_report.json'))['best']['dim'])")
-epochs=$(python3 -c "import json;print(json.load(open('$outdir/grid_report.json'))['best']['epochs'])")
-lr=$(python3 -c "import json;print(json.load(open('$outdir/grid_report.json'))['best']['lr'])")
+read -r dim epochs lr < <(python3 -c '
+import json, sys
+with open(sys.argv[1], encoding="utf-8") as handle:
+    best = json.load(handle)["best"]
+print(best["dim"], best["epochs"], best["lr"])
+' "$outdir/grid_report.json")
 
 opinionpulse train \
     --labels "$labels" --dim "$dim" --epochs "$epochs" --lr "$lr" \

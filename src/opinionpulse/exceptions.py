@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, the one reader of input files, one ISO parser."""
+"""The input error shared across the pipeline, the one reader of input files, one ISO parser."""
 
 import json
 import re
@@ -6,11 +6,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
-class PipelineError(Exception):
-    """Base class for all opinionpulse errors."""
-
-
-class InputError(PipelineError):
+class InputError(Exception):
     """A file or data item violates its declared format or contract."""
 
 
@@ -29,14 +25,15 @@ def from_isoformat(kind, text: str):
 
 @contextmanager
 def input_lines(path, kind: str):
-    """Yield an iterator over the physical lines of the ``kind`` file at ``path``.
+    """Yield an iterator over the lines of the ``kind`` file at ``path``.
 
-    The file is read as strict UTF-8 with line ends kept, so ``csv.reader``
-    can take the iterator. A missing file raises ``InputError("<kind> file
-    not found: <path>")``. A byte that is not UTF-8, and a ``ValueError`` or
+    The file is read as UTF-8 with line ends kept, so ``csv.reader`` can
+    take the iterator. A missing file raises ``InputError("<kind> file not
+    found: <path>")``. A byte that is not UTF-8, and a ``ValueError`` or
     ``csv.Error`` raised in the body, raise ``InputError("<file>: <reason>,
-    line <n>")``, where ``n`` counts physical lines: the line of the byte,
-    or the last line the body took.
+    line <n>")``, where ``n`` counts universal-newline lines (a bare CR ends
+    one): the line of the byte, or the last line the body took, whichever
+    comes first.
     """
     path = Path(path)
     if not path.is_file():
@@ -46,21 +43,17 @@ def input_lines(path, kind: str):
     def lines(handle):
         nonlocal lineno
         for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:  # an undecodable byte was read as a surrogate, which does not encode
+                    line.encode("utf-8")
+                except UnicodeEncodeError as bad:
+                    byte = ord(line[bad.start]) - 0xDC00
+                    raise ValueError(f"not UTF-8 (byte 0x{byte:02x})") from None
             yield line
 
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
             yield lines(handle)
-    except UnicodeDecodeError as exc:
-        # the decoder works in blocks, so find the byte's line by reading again
-        with open(path, "rb") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    raise InputError(f"{path.name}: not UTF-8 (byte 0x{raw[bad.start]:02x}), "
-                                     f"line {lineno}") from None
-        raise InputError(f"{path.name}: not UTF-8 ({exc.reason})") from None
     except Exception as exc:
         import csv  # imported here: only the CSV readers load csv, and only they raise csv.Error
         if not isinstance(exc, (ValueError, csv.Error)):

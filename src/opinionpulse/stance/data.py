@@ -51,12 +51,16 @@ def read_labeled_tsv(path) -> list[LabeledExample]:
 
 
 def read_paired_labels(path_a, path_b) -> tuple[list[str], list[str]]:
-    """Two annotators' labels for the same texts in the same order; kappa checks the lengths."""
+    """Two annotators' labels for the same texts in the same order."""
     a, b = read_labeled_tsv(path_a), read_labeled_tsv(path_b)
+    names = f"{Path(path_a).name} and {Path(path_b).name}"
+    if not a and not b:
+        raise InputError(f"{names} hold no examples")
+    if len(a) != len(b):
+        raise InputError(f"{names} differ in length: {len(a)} vs {len(b)} examples")
     for number, (x, y) in enumerate(zip(a, b), start=1):
         if x.text != y.text:
-            raise InputError(f"{Path(path_a).name} and {Path(path_b).name} label different "
-                             f"texts, example {number}")
+            raise InputError(f"{names} label different texts, example {number}")
     return [e.label for e in a], [e.label for e in b]
 
 

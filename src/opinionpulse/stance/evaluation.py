@@ -91,12 +91,13 @@ def _map(fn: Callable, jobs: list) -> list:
     Each job runs in a child forked for it alone, so the child inherits the
     job, this process's modules and its logging setup; nothing is pickled on
     the way in. The child sends back its log records and its result or
-    exception, pickled, over its own pipe, which is read as it fills, so a
-    reply of any size cannot stall it. Each job's log records are handed to
-    their loggers here, in job order, and the first failing job's exception
-    is raised here, so the output and any error are those of an in-process
-    run. A child that exits before it has replied raises ``RuntimeError``;
-    on any error the children still running are killed and reaped.
+    exception, pickled, over its own pipe, which is read to its end once it
+    is readable, so a reply of any size cannot stall it. Each job's log
+    records are handed to their loggers here, in job order, and the first
+    failing job's exception is raised here, so the output and any error are
+    those of an in-process run. A child that exits before it has replied
+    raises ``RuntimeError``; on any error the children still running are
+    killed and reaped.
     """
     workers = worker_count(len(jobs))
     if workers == 1:
@@ -105,7 +106,7 @@ def _map(fn: Callable, jobs: list) -> list:
     sys.stdout.flush()
     sys.stderr.flush()
     replies = [None] * len(jobs)
-    running = {}  # read end of a child's pipe -> (job index, pid, chunks read)
+    running = {}  # read end of a child's pipe -> (job index, pid)
     started, stop = 0, len(jobs)  # no job after the first failing one needs to run
     try:
         while running or started < stop:
@@ -115,25 +116,24 @@ def _map(fn: Callable, jobs: list) -> list:
                 if pid == 0:
                     _reply(fn, jobs[started], read_end, write_end)
                 os.close(write_end)  # so that a later child does not hold it open
-                running[read_end] = (started, pid, [])
+                running[read_end] = (started, pid)
                 started += 1
             for fd in select.select(list(running), [], [])[0]:
-                index, pid, chunks = running[fd]
-                chunk = os.read(fd, 1 << 20)
-                if chunk:
-                    chunks.append(chunk)
-                    continue
+                index, pid = running[fd]
+                # a child writes only once its job has returned, so its whole reply follows
+                with os.fdopen(fd, "rb", closefd=False) as pipe:
+                    reply = pipe.read()
                 del running[fd]
                 os.close(fd)
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if status != 0:  # a child exits 0 only after its whole reply is written
                     raise RuntimeError(f"worker for job {index} exited with status "
                                        f"{status} before replying")
-                replies[index] = pickle.loads(b"".join(chunks))
+                replies[index] = pickle.loads(reply)
                 if replies[index][2] is not None:
                     stop = min(stop, index + 1)
     finally:
-        for fd, (_, pid, _) in running.items():
+        for fd, (_, pid) in running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)

@@ -57,11 +57,9 @@ class SeriesPoint:
 
 
 @dataclass(frozen=True)
-class StanceRates:
+class StanceCounts:
     bucket: object
-    support_rate: float
-    reject_rate: float
-    other_rate: float
+    counts: tuple[int, ...]  # messages per label, in LABELS order
     n: int
 
 
@@ -140,8 +138,8 @@ def sentiment_series(
 
 def stance_series(
     labeled: Iterable[tuple[datetime, str]], bucket: str = "day", tz: timezone = DEFAULT_TZ
-) -> list[StanceRates]:
-    """Label proportions per bucket over (timestamp, label) pairs, as read_labeled_jsonl gives."""
+) -> list[StanceCounts]:
+    """Label counts per bucket over (timestamp, label) pairs, as read_labeled_jsonl gives."""
     if bucket not in STANCE_BUCKETS:
         raise InputError(f"stance bucket must be one of {STANCE_BUCKETS}")
     tallies: dict = {}
@@ -151,20 +149,8 @@ def stance_series(
         key = bucket_key(ts, bucket, tz)
         tally = tallies.setdefault(key, dict.fromkeys(LABELS, 0))
         tally[label] += 1
-    series = []
-    for key in sorted(tallies):
-        tally = tallies[key]
-        n = sum(tally.values())
-        series.append(
-            StanceRates(
-                bucket=key,
-                support_rate=tally["supports"] / n,
-                reject_rate=tally["rejects"] / n,
-                other_rate=tally["other"] / n,
-                n=n,
-            )
-        )
-    return series
+    return [StanceCounts(bucket=key, counts=tuple(tally.values()), n=sum(tally.values()))
+            for key, tally in sorted(tallies.items())]
 
 
 def moving_average(
@@ -301,41 +287,38 @@ def parse_bucket(text: str):
     return parsed
 
 
+# each series CSV's header: read_series_csv reads column 1 as the value and the last as n
+FREQUENCY_CSV_HEADER = ("bucket", "n")
+VALUE_CSV_HEADER = ("bucket", "mean", "n")
+STANCE_CSV_HEADER = ("bucket", "support", "reject", "other", "n")  # a rate per label
+
+
 def write_frequency_csv(points: Sequence[SeriesPoint], handle) -> None:
-    handle.write("bucket,n\n")
+    handle.write(",".join(FREQUENCY_CSV_HEADER) + "\n")
     for p in points:
         handle.write(f"{format_bucket(p.bucket)},{p.n}\n")
 
 
 def write_value_csv(points: Sequence[SeriesPoint], handle) -> None:
     # repr() keeps the float bit pattern, so replayed CSVs stay exact
-    handle.write("bucket,mean,n\n")
+    handle.write(",".join(VALUE_CSV_HEADER) + "\n")
     for p in points:
         handle.write(f"{format_bucket(p.bucket)},{p.value!r},{p.n}\n")
 
 
-def write_stance_csv(series: Sequence[StanceRates], handle) -> None:
-    handle.write("bucket,support,reject,other,n\n")
-    for r in series:
-        handle.write(
-            f"{format_bucket(r.bucket)},{r.support_rate!r},{r.reject_rate!r},"
-            f"{r.other_rate!r},{r.n}\n"
-        )
-
-
-# header -> index of the n column; every schema keeps its value in column 1
-_SERIES_N_COLUMN = {
-    ("bucket", "n"): 1,
-    ("bucket", "mean", "n"): 2,
-    ("bucket", "support", "reject", "other", "n"): 4,
-}
+def write_stance_csv(series: Sequence[StanceCounts], handle) -> None:
+    handle.write(",".join(STANCE_CSV_HEADER) + "\n")
+    for s in series:
+        rates = ",".join(repr(count / s.n) for count in s.counts)
+        handle.write(f"{format_bucket(s.bucket)},{rates},{s.n}\n")
 
 
 def read_series_csv(path) -> list[SeriesPoint]:
     """Load a series from any shipped CSV schema, sorted by bucket.
 
-    The header picks bucket,n, bucket,mean,n, bucket,support,reject,other,n
-    (read as the support rate) or else date,value (header optional, n = 1).
+    The header picks the schema of a series writer, whose value is its
+    second column (n, the mean or the support rate) and whose n is its last,
+    or else date,value (header optional, n = 1).
     A malformed row raises InputError naming the file and line.
     """
     def number(convert, text: str):
@@ -355,21 +338,21 @@ def read_series_csv(path) -> list[SeriesPoint]:
                 continue
             if columns is None:
                 header = tuple(cell.strip().lower() for cell in row)
-                n_col = _SERIES_N_COLUMN.get(header)
-                columns = header if n_col is not None else ("date", "value")
-                if n_col is not None or header[0] == "date":
+                shipped = header in (FREQUENCY_CSV_HEADER, VALUE_CSV_HEADER, STANCE_CSV_HEADER)
+                columns = header if shipped else ("date", "value")
+                if shipped or header[0] == "date":
                     continue
             if len(row) != len(columns):
                 raise ValueError(f"expected {','.join(columns)}")
             text = row[0].strip()
             try:
-                key = from_isoformat(date, text) if n_col is None else parse_bucket(text)
+                key = parse_bucket(text) if shipped else from_isoformat(date, text)
             except (InputError, ValueError):
                 raise ValueError(f"unparseable {columns[0]} {row[0]!r}") from None
             if points and type(key) is not type(next(iter(points))):
                 raise ValueError(f"bucket {row[0]!r} mixes days and hours")
             if key in points:
                 raise ValueError(f"duplicate {columns[0]} {row[0]}")
-            n = 1 if n_col is None else number(int, row[n_col])
+            n = number(int, row[-1]) if shipped else 1
             points[key] = SeriesPoint(bucket=key, value=number(float, row[1]), n=n)
     return [points[key] for key in sorted(points)]

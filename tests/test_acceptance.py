@@ -283,8 +283,10 @@ def test_criterion_08_metric_suite(million_line_corpus):
          rng.choice(LABELS))
         for i in range(300)
     ]
-    for rates in stance_series(labeled, bucket="day", tz=timezone.utc):
-        assert abs(rates.support_rate + rates.reject_rate + rates.other_rate - 1.0) <= 1e-9
+    for point in stance_series(labeled, bucket="day", tz=timezone.utc):
+        assert sum(point.counts) == point.n
+        # the rates as write_stance_csv computes them
+        assert abs(sum(count / point.n for count in point.counts) - 1.0) <= 1e-9
 
     points = frequency_series(ingest(million_line_corpus), bucket="day", tz=timezone.utc)
     assert sum(p.n for p in points) == 1_000_000

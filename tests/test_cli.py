@@ -557,13 +557,18 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: q.json: {reason}\n"
 
-    def test_value_error_maps_to_two(self, tmp_path, capsys):
-        first = tmp_path / "a.tsv"
-        second = tmp_path / "b.tsv"
-        first.write_text("supports\tx\nrejects\ty\n", encoding="utf-8")
-        second.write_text("supports\tx\n", encoding="utf-8")
-        assert main(["kappa", "--a", str(first), "--b", str(second)]) == 2
-        assert "differ in length" in capsys.readouterr().err
+    def test_value_error_maps_to_two(self, tmp_path, capsys, monkeypatch):
+        from opinionpulse.stance import agreement
+
+        def refuse(a, b):
+            raise ValueError("label sequences are empty")
+
+        # the files pass read_paired_labels, so the ValueError comes from the library call
+        monkeypatch.setattr(agreement, "kappa", refuse)
+        labels = tmp_path / "a.tsv"
+        labels.write_text("supports\tx\n", encoding="utf-8")
+        assert main(["kappa", "--a", str(labels), "--b", str(labels)]) == 2
+        assert capsys.readouterr().err == "error: label sequences are empty\n"
 
     @pytest.mark.parametrize("command, flag, value", [
         ("learning-curve", "--test-size", "0"),

@@ -61,17 +61,37 @@ def test_missing_file_is_an_input_error(name, tmp_path):
     assert str(info.value) == f"{kind} file not found: {path}"
 
 
-@pytest.mark.parametrize("lineno", [1, 3])
+# a bare CR ends a line as LF does, so each line end counts the same lines
+@pytest.mark.parametrize("lineno, end", [(1, b"\n"), (3, b"\n"), (1, b"\r\n"), (3, b"\r\n"),
+                                         (1, b"\r"), (3, b"\r")],
+                         ids=["1", "3", "1-CRLF", "3-CRLF", "1-CR", "3-CR"])
 @pytest.mark.parametrize("name", READERS)
-def test_byte_not_utf8_names_its_line(name, lineno, tmp_path):
+def test_byte_not_utf8_names_its_line(name, lineno, end, tmp_path):
     _, _, filename, text = READERS[name]
-    lines = text.encode("utf-8").splitlines(keepends=True)
-    lines[lineno - 1] = lines[lineno - 1].rstrip(b"\n") + b"\xff\n"
+    lines = [line + end for line in text.encode("utf-8").splitlines()]
+    lines[lineno - 1] = lines[lineno - 1][:-len(end)] + b"\xff" + end
     path = tmp_path / filename
     path.write_bytes(b"".join(lines))
     with pytest.raises(InputError) as info:
         read(name, path)
     assert str(info.value) == f"{filename}: not UTF-8 (byte 0xff), line {lineno}"
+
+
+@pytest.mark.parametrize("name, fault, reason", [
+    ("read_labeled_tsv", "supports but no tab", "expected label<TAB>text"),
+    ("read_series_csv", "2020-03-09,x", "bad value 'x'"),
+], ids=["label-tsv", "series-csv"])
+def test_first_fault_in_line_order_is_reported(name, fault, reason, tmp_path):
+    # a fault on line 3 comes before a byte that is not UTF-8 on line 50
+    # within the same few kilobytes of the file
+    _, _, filename, text = READERS[name]
+    lines = text.encode("utf-8").splitlines(keepends=True)[:2] + [fault.encode() + b"\n"]
+    lines += [lines[1]] * 46 + [b"\xff\n"]
+    path = tmp_path / filename
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(InputError) as info:
+        read(name, path)
+    assert str(info.value) == f"{filename}: {reason}, line 3"
 
 
 @pytest.mark.parametrize("name, text, reason", [

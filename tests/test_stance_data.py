@@ -144,11 +144,21 @@ class TestReadPairedLabels:
         b.write_text("OTHER\tx\nrejects\ty\n", encoding="utf-8")
         assert read_paired_labels(a, b) == (["supports", "rejects"], ["other", "rejects"])
 
-    def test_a_prefix_is_left_to_kappa(self, tmp_path):
+    def test_different_lengths_name_both_files_and_counts(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         a.write_text("supports\tx\nrejects\ty\n", encoding="utf-8")
         b.write_text("other\tx\n", encoding="utf-8")
-        assert read_paired_labels(a, b) == (["supports", "rejects"], ["other"])
+        with pytest.raises(InputError) as info:
+            read_paired_labels(a, b)
+        assert str(info.value) == "a.tsv and b.tsv differ in length: 2 vs 1 examples"
+
+    def test_empty_files_name_both_files(self, tmp_path):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("", encoding="utf-8")
+        b.write_text("\n", encoding="utf-8")  # blank lines are skipped
+        with pytest.raises(InputError) as info:
+            read_paired_labels(a, b)
+        assert str(info.value) == "a.tsv and b.tsv hold no examples"
 
 
 class TestPrepareAnnotationSet:

@@ -1,5 +1,6 @@
 """Bucketing, series construction, smoothing and correlation."""
 
+import io
 import math
 from datetime import date, datetime, timedelta, timezone
 
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import msg
+from opinionpulse.constants import LABELS, STANCE_BUCKETS
 from opinionpulse.exceptions import InputError
 from opinionpulse.polarity import PolarityScore, read_scored_csv, write_scored_csv
 from opinionpulse.timeseries import (
@@ -41,6 +43,13 @@ def at(iso: str, *, id: str = "m") -> object:
 
 def when(iso: str) -> datetime:
     return at(iso).timestamp
+
+
+def stance_rows(series) -> list:
+    """The rows, below the header, that write_stance_csv writes for ``series``."""
+    handle = io.StringIO()
+    write_stance_csv(series, handle)
+    return [line.split(",") for line in handle.getvalue().splitlines()[1:]]
 
 
 def day_points(values, start="2020-03-01"):
@@ -236,14 +245,15 @@ class TestStanceSeries:
         ]
         series = stance_series(labeled, bucket="day", tz=UTC)
         assert len(series) == 1
-        rates = series[0]
-        assert (rates.support_rate, rates.reject_rate, rates.other_rate) == (0.5, 0.25, 0.25)
-        assert rates.n == 4
+        assert series[0].counts == (2, 1, 1)  # LABELS order
+        assert series[0].n == 4
+        assert stance_rows(series) == [["2020-03-01", "0.5", "0.25", "0.25", "4"]]
 
     def test_all_supports(self):
         labeled = [(when("2020-03-01T10:00:00Z"), "supports")]
-        rates = stance_series(labeled, bucket="day", tz=UTC)[0]
-        assert (rates.support_rate, rates.reject_rate, rates.other_rate) == (1.0, 0.0, 0.0)
+        series = stance_series(labeled, bucket="day", tz=UTC)
+        assert (series[0].counts, series[0].n) == ((1, 0, 0), 1)
+        assert stance_rows(series) == [["2020-03-01", "1.0", "0.0", "0.0", "1"]]
 
     def test_planted_monthly_decline(self):
         planted = {3: 19, 4: 16, 5: 12, 6: 9}  # supports out of 20 per month
@@ -254,10 +264,8 @@ class TestStanceSeries:
                 labeled.append((when(f"2020-{month:02d}-15T10:{i:02d}:00Z"), label))
         series = stance_series(labeled, bucket="month", tz=UTC)
         assert [r.bucket.month for r in series] == [3, 4, 5, 6]
-        for rates, (month, supports) in zip(series, planted.items()):
-            assert rates.support_rate == pytest.approx(supports / 20, abs=1e-9)
-        assert series[0].support_rate == 0.95
-        assert series[-1].support_rate == 0.45
+        assert [r.counts for r in series] == [(s, 20 - s, 0) for s in planted.values()]
+        assert [row[1] for row in stance_rows(series)] == ["0.95", "0.8", "0.6", "0.45"]
 
     def test_week_bucketing(self):
         labeled = [
@@ -284,10 +292,26 @@ class TestStanceSeries:
             (when(f"2020-03-{1 + i % 28:02d}T10:00:00Z"), label)
             for i, label in enumerate(labels)
         ]
-        for rates in stance_series(labeled, bucket="day", tz=UTC):
-            assert rates.support_rate + rates.reject_rate + rates.other_rate == pytest.approx(
-                1.0, abs=1e-9
-            )
+        series = stance_series(labeled, bucket="day", tz=UTC)
+        assert all(sum(point.counts) == point.n for point in series)
+        for row in stance_rows(series):
+            assert math.fsum(map(float, row[1:4])) == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(LABELS)), max_size=40),
+           st.lists(st.tuples(st.integers(0, 60), st.sampled_from(LABELS)), max_size=40),
+           st.sampled_from(STANCE_BUCKETS))
+    def test_counts_add_over_disjoint_corpora(self, first, second, bucket):
+        # the series of A + B is the bucket-wise sum of the series of A and of B
+        def series(draws):
+            labeled = [(datetime(2020, 3, 1, 10, tzinfo=UTC) + timedelta(days=day), label)
+                       for day, label in draws]
+            return {p.bucket: (*p.counts, p.n) for p in stance_series(labeled, bucket=bucket)}
+
+        a, b = series(first), series(second)
+        zero = (0,) * (len(LABELS) + 1)
+        summed = {key: tuple(x + y for x, y in zip(a.get(key, zero), b.get(key, zero)))
+                  for key in a.keys() | b.keys()}
+        assert series(first + second) == summed
 
 
 class TestMovingAverage:
@@ -594,7 +618,7 @@ class TestCsvRoundTrips:
             write_stance_csv(series, handle)
         replayed = read_series_csv(path)
         assert [(p.bucket, p.value, p.n) for p in replayed] == [
-            (r.bucket, r.support_rate, r.n) for r in series
+            (r.bucket, r.counts[0] / r.n, r.n) for r in series
         ]
 
     def test_external_schema_fallback(self, tmp_path):
