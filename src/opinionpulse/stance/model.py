@@ -185,21 +185,36 @@ def _sgd_step(E: np.ndarray, W: np.ndarray, b: np.ndarray, urows: np.ndarray,
     return math.log(total) - (z[y] - top)
 
 
+def _touched_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, return_inverse=True)``, the inverse as int32, found by one sort.
+
+    The distinct rows are where the sorted rows change, and each row's index among them is
+    a binary search, so no argsort or permuted copy of ``rows`` is made.
+    """
+    touched = np.sort(rows)
+    distinct = np.ones(touched.size, dtype=bool)
+    np.not_equal(touched[1:], touched[:-1], out=distinct[1:])
+    touched = touched[distinct]
+    return touched, np.searchsorted(touched, rows).astype(np.int32)
+
+
 def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
-    """(vocabulary, touched rows, per-example rows and weights) of a training set.
+    """(vocabulary, touched rows, urows, weights, offsets): a training set's flat index.
 
     The vocabulary lists each word in first-seen order. The touched rows are
-    the sorted int64 ids of every row some word has. Each example gets its
-    unique int32 indices into the touched rows and their float32 weights, or
-    None when it has no words.
+    the sorted int64 ids of every row some word has. Example ``i``'s unique
+    rows, as int32 indices into the touched rows, are
+    ``urows[offsets[i]:offsets[i + 1]]`` and their float32 weights the same
+    slice of ``weights``; an example with no words has an empty slice. Both
+    arrays are filled in place and cut to their length, never copied, and
+    ``offsets`` is int64 with one more entry than there are examples.
     """
     vocab: dict[str, int] = {}  # word -> vocab id, in first-seen order
-    tokenized = []
+    ids, lengths = [], []  # every example's words as vocab ids, flat, and how many it has
     for ex in examples:
         words = tokenize(ex.text)
-        tokenized.append(words)
-        for word in words:
-            vocab.setdefault(word, len(vocab))
+        ids.extend([vocab.setdefault(word, len(vocab)) for word in words])
+        lengths.append(len(words))
     vocab_words = list(vocab)
     blocks = [featurize(vocab_words[start : start + FEATURIZE_BLOCK_WORDS], vocab, hp)
               for start in range(0, len(vocab_words), FEATURIZE_BLOCK_WORDS)]
@@ -207,20 +222,31 @@ def _training_rows(examples: list[LabeledExample], hp: Hyperparams):
     vocab_rows = np.concatenate([block_rows for block_rows, _ in blocks] or empty)
     counts = np.concatenate([block_counts for _, block_counts in blocks] or empty)
     del blocks
-    # every vocabulary word occurs in some example, so its rows are the touched rows;
-    # the inverse maps each global row id to its index among them, in sorted order
-    touched, local = np.unique(vocab_rows, return_inverse=True)
+    # every vocabulary word occurs in some example, so its rows are the touched rows
+    touched, local = _touched_rows(vocab_rows)
     del vocab_rows
-    local = local.astype(np.int32)
-    features = dict(zip(vocab_words, np.split(local, np.cumsum(counts)[:-1])))
-    compressed = []
-    for words in tokenized:
-        if words:
-            urows, weights = compress(np.concatenate([features[word] for word in words]))
-            compressed.append((urows, weights.astype(np.float32)))
-        else:
-            compressed.append(None)
-    return vocab_words, touched, compressed
+    starts = np.cumsum(counts) - counts
+    ids = np.array(ids, dtype=np.int64)
+    urows = np.empty(int(counts[ids].sum()), dtype=np.int32)
+    weights = np.empty(urows.size, dtype=np.float32)
+    offsets = np.zeros(len(examples) + 1, dtype=np.int64)
+    first = end = 0
+    for i, n in enumerate(lengths, 1):
+        if n:
+            word_ids = ids[first : first + n]
+            first += n
+            sizes, at = counts[word_ids], starts[word_ids]
+            # the example's rows, word by word: at, at + 1, ..., at + size - 1 of local
+            gather = np.arange(sizes.sum()) + np.repeat(at - np.cumsum(sizes) + sizes, sizes)
+            rows, row_weights = compress(local[gather])
+            urows[end : end + rows.size] = rows
+            weights[end : end + rows.size] = row_weights
+            end += rows.size
+        offsets[i] = end
+    # compress folds an example's repeated rows, so the arrays have slack: cut in place
+    urows.resize(end, refcheck=False)
+    weights.resize(end, refcheck=False)
+    return vocab_words, touched, urows, weights, offsets
 
 
 def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> StanceModel:
@@ -229,7 +255,9 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     Deterministic for a fixed seed: the initial vectors come from
     ``initial_rows``, and each epoch visits the examples in the order that
     ``random.Random(seed).shuffle`` gives ``range(n)``, one generator for all
-    epochs. Only the embedding rows some example touches are allocated.
+    epochs. Only the embedding rows some example touches are allocated. During SGD the
+    state is ``E`` plus ``_training_rows``' flat index: 8 bytes per (example, distinct row)
+    pair and 8 bytes per example offset.
     """
     hp = hp or Hyperparams()
     examples = list(examples)
@@ -238,8 +266,9 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
     if len({ex.label for ex in examples}) < 2:
         raise InputError("degenerate training set: fewer than two distinct labels")
 
-    # the featurization state is local to _training_rows, so none of it lives during SGD
-    vocab_words, touched, compressed = _training_rows(examples, hp)
+    # the featurization state is local to _training_rows, so no traced byte of it lives
+    # during SGD (the heap it used may stay resident)
+    vocab_words, touched, urows, weights, offsets = _training_rows(examples, hp)
     label_ids = [LABELS.index(ex.label) for ex in examples]
     rng = random.Random(hp.seed)
     E = initial_rows(hp.seed, touched, hp.dim)
@@ -257,10 +286,10 @@ def train(examples: Sequence[LabeledExample], hp: Hyperparams | None = None) -> 
         for idx in order:
             lr = hp.lr * (1 - done / total_updates)
             done += 1
-            pair = compressed[idx]
-            if pair is None:
+            lo, hi = offsets[idx], offsets[idx + 1]
+            if lo == hi:  # no words; it still counts toward the decay and the mean loss
                 continue
-            epoch_loss += _sgd_step(E, W, b, pair[0], pair[1], label_ids[idx], lr)
+            epoch_loss += _sgd_step(E, W, b, urows[lo:hi], weights[lo:hi], label_ids[idx], lr)
         loss_history.append(epoch_loss / n)
 
     model = StanceModel(hyperparams=hp, vocab=vocab_words, rows=touched, E=E, W=W, b=b)

@@ -52,6 +52,16 @@ def two_class_examples(n=200):
     return examples
 
 
+def random_word_examples():
+    """600 examples of 50 random 8-letter words: a vocabulary of about 30,000 words."""
+    rng = random.Random(11)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    examples = [LabeledExample(text=" ".join("".join(rng.choices(letters, k=8))
+                                             for _ in range(50)), label=LABELS[i % 3])
+                for i in range(600)]
+    return examples, Hyperparams(dim=10, epochs=1, bucket=1000, seed=1)
+
+
 @pytest.fixture(scope="module")
 def trained():
     return train(two_class_examples(), FAST)
@@ -356,6 +366,22 @@ class TestTraining:
         model = train(examples, FAST)
         assert np.isfinite(model.loss_history[-1])
 
+    def test_featureless_examples_count_toward_decay_and_mean_loss(self, monkeypatch):
+        examples = two_class_examples(10) + [LabeledExample(text="???", label="other")] * 3
+        hp = replace(FAST, epochs=3)
+        steps = []
+        monkeypatch.setattr(model_module, "_sgd_step",
+                            lambda E, W, b, urows, weights, y, lr: steps.append(lr) or 1.0)
+        model = train(examples, hp)
+        n, rng, expected = len(examples), random.Random(hp.seed), []
+        for epoch in range(hp.epochs):
+            order = list(range(n))
+            rng.shuffle(order)
+            expected += [hp.lr * (1 - (epoch * n + k) / (hp.epochs * n))
+                         for k, i in enumerate(order) if i < 10]
+        assert steps == expected
+        assert model.loss_history == [10 / n] * hp.epochs
+
     @pytest.mark.parametrize("dim", [4, 16, 50])
     def test_training_matches_column_step_reference(self, dim, monkeypatch):
         examples = make_separable(90, seed=dim) + [LabeledExample(text="???", label="other")]
@@ -371,23 +397,73 @@ class TestTraining:
 
     def test_training_rows_are_int32_with_float32_weights(self, tmp_path, monkeypatch):
         examples = two_class_examples(60) + [LabeledExample(text="???", label="other")]
-        _, touched, compressed = model_module._training_rows(examples, FAST)
+        _, touched, urows, weights, offsets = model_module._training_rows(examples, FAST)
         assert touched.dtype == np.int64
-        assert compressed[-1] is None
-        for urows, weights in compressed[:-1]:
-            assert urows.dtype == np.int32
-            assert weights.dtype == np.float32 and weights.shape == urows.shape
+        assert urows.dtype == np.int32
+        assert weights.dtype == np.float32 and weights.shape == urows.shape
+        assert offsets.dtype == np.int64 and offsets.shape == (len(examples) + 1,)
+        assert offsets[0] == 0 and offsets[-1] == urows.size
+        assert (np.diff(offsets) >= 0).all()
+        assert offsets[-2] == offsets[-1]  # the featureless example has an empty slice
         save_model(train(examples, FAST), tmp_path / "int32.bin")
         real = model_module._training_rows
 
         def int64_rows(examples, hp):
-            vocab, touched, compressed = real(examples, hp)
-            return vocab, touched, [None if pair is None else (pair[0].astype(np.int64), pair[1])
-                                    for pair in compressed]
+            vocab, touched, urows, weights, offsets = real(examples, hp)
+            return vocab, touched, urows.astype(np.int64), weights, offsets
 
         monkeypatch.setattr(model_module, "_training_rows", int64_rows)
         save_model(train(examples, FAST), tmp_path / "int64.bin")
         assert (tmp_path / "int32.bin").read_bytes() == (tmp_path / "int64.bin").read_bytes()
+
+    def test_featureless_training_set_trains_an_empty_table(self, tmp_path):
+        examples = [LabeledExample(text=text, label=label)
+                    for text, label in zip(["???", "-", "!! ..."], LABELS)]
+        model = train(examples, FAST)
+        assert model.rows.size == 0 and model.E.shape == (0, FAST.dim)
+        assert model.loss_history == [0.0] * FAST.epochs
+        save_model(model, tmp_path / "empty.bin")
+        assert load_model(tmp_path / "empty.bin").E.shape == (0, FAST.dim)
+
+
+# words that share n-grams, so tiny buckets make rows collide across words
+OVERLAPPING_WORDS = st.text(alphabet="abé", min_size=1, max_size=7)
+# an example's text is never empty, but punctuation alone has no words
+FLAT_TEXTS = st.one_of(
+    st.sampled_from(["???", "!! ...", "aaa aaa aaa", "ab ab ba"]),
+    st.lists(OVERLAPPING_WORDS, min_size=1, max_size=6).map(" ".join),
+)
+
+
+class TestFlatIndex:
+    @settings(max_examples=80, deadline=None)
+    @given(texts=st.lists(FLAT_TEXTS, min_size=1, max_size=10), bucket=st.integers(1, 7))
+    def test_slices_are_each_examples_compressed_rows(self, texts, bucket):
+        hp = replace(FAST, bucket=bucket)
+        examples = [LabeledExample(text=text, label="supports") for text in texts]
+        vocab, touched, urows, weights, offsets = model_module._training_rows(examples, hp)
+        features = [[row for rows in word_rows(tokenize(text), vocab, hp) for row in rows]
+                    for text in texts]
+        assert touched.tolist() == sorted(set(chain.from_iterable(features)))
+        assert offsets[0] == 0 and offsets[-1] == urows.size == weights.size
+        for lo, hi, rows in zip(offsets[:-1], offsets[1:], features, strict=True):
+            if not rows:
+                assert lo == hi
+                continue
+            expected_rows, expected_weights = compress(np.searchsorted(touched, rows))
+            assert urows[lo:hi].tolist() == expected_rows.tolist()
+            assert np.array_equal(weights[lo:hi], expected_weights.astype(np.float32))
+
+    @settings(max_examples=80, deadline=None)
+    @given(words=st.lists(OVERLAPPING_WORDS, max_size=30), bucket=st.integers(1, 7))
+    def test_touched_rows_match_unique(self, words, bucket):
+        hp = replace(FAST, bucket=bucket)
+        rows, _ = featurize(words, {word: i for i, word in enumerate(dict.fromkeys(words))}, hp)
+        touched, local = model_module._touched_rows(rows)
+        expected, inverse = np.unique(rows, return_inverse=True)
+        assert touched.dtype == np.int64 and local.dtype == np.int32
+        assert np.array_equal(touched, expected)
+        assert np.array_equal(local, inverse)
 
 
 class TestSparseRows:
@@ -634,13 +710,7 @@ class TestResolveBlocks:
         assert blocks < 8, f"transient peak {blocks:.1f} times 128 KiB"
 
     def test_featurization_state_is_freed_before_sgd(self, monkeypatch):
-        # 600 examples of 50 random 8-letter words: a vocabulary of about 30,000 words
-        rng = random.Random(11)
-        hp = Hyperparams(dim=10, epochs=1, bucket=1000, seed=1)
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        examples = [LabeledExample(text=" ".join("".join(rng.choices(letters, k=8))
-                                                 for _ in range(50)), label=LABELS[i % 3])
-                    for i in range(600)]
+        examples, hp = random_word_examples()
         seen = {}
 
         class FirstStep(Exception):
@@ -668,10 +738,26 @@ class TestResolveBlocks:
         # and the vocabulary, which the model keeps: its words and the list of them
         kept = sum(map(sys.getsizeof, vocab)) + 8 * len(vocab)
         assert seen["traced"] <= seen["params"] + per_example + kept + 2**20, (seen, per_example)
-        # vocabulary words are featurized FEATURIZE_BLOCK_WORDS at a time: measured
-        # 42.2 MiB up to the first step, and 69.5 MiB with all words in one block
+        # vocabulary words are featurized FEATURIZE_BLOCK_WORDS at a time: measured 20.5 MiB
+        # up to the first step (42.2 MiB with np.unique's inverse and per-example arrays),
+        # and 69.5 MiB with all words in one block
         assert len(vocab) > 29_000
-        assert seen["peak"] < 55 * 2**20, f"traced peak {seen['peak'] / 2**20:.1f} MiB"
+        assert seen["peak"] < 22.6 * 2**20, f"traced peak {seen['peak'] / 2**20:.1f} MiB"
+
+    def test_training_rows_transient_memory_per_vocabulary_row(self):
+        examples, hp = random_word_examples()
+        tracemalloc.start()
+        try:
+            vocab, *_ = model_module._training_rows(examples, hp)
+            kept, peak = tracemalloc.get_traced_memory()  # kept: what it returned
+        finally:
+            tracemalloc.stop()
+        word_ids = {word: i for i, word in enumerate(vocab)}
+        rows = sum(featurize(vocab[start : start + 256], word_ids, hp)[0].size
+                   for start in range(0, len(vocab), 256))
+        # measured 19.3 bytes per vocabulary row over the 810,000 rows, the sort's copy and
+        # binary search; 47.1 with np.unique's inverse and per-example arrays
+        assert (peak - kept) / rows < 21.2, f"{(peak - kept) / rows:.1f} bytes per row"
 
 
 class TestPredict:
